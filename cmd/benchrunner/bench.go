@@ -56,7 +56,7 @@ func quickScenarioSpec(seed int64) autonosql.ScenarioSpec {
 	spec.Workload.BaseOpsPerSec = 2000
 	spec.Controller.Mode = autonosql.ControllerNone
 	// Self-profiling reads counters the engine maintains anyway, so the
-	// report's pool/heap/lockstep figures ride along at no measured cost.
+	// report's pool/heap figures ride along at no measured cost.
 	spec.Observe = &autonosql.ObserveSpec{Profile: true}
 	return spec
 }
@@ -71,19 +71,11 @@ func profileExtras(extra map[string]float64, p *autonosql.ProfileReport) {
 		extra["pool_hit_rate"] = float64(p.PoolHits) / float64(lookups)
 	}
 	extra["heap_peak"] = float64(p.HeapPeak)
-	if p.Rounds > 0 {
-		extra["lockstep_rounds"] = float64(p.Rounds)
-		extra["mail_drained"] = float64(p.MailDrained)
-	}
 }
 
 // runBenchJSON measures the quick-scale benchmarks and writes
-// BENCH_<date>.json into dir. cpus lists extra GOMAXPROCS values to re-run
-// the sharded benchmark under, each recorded as its own trajectory entry — on
-// a many-core host that is where the lockstep engine's scaling shows; on a
-// small host it records, honestly, that there is nothing to scale onto. It
-// returns the path written.
-func runBenchJSON(dir string, cpus []int) (string, error) {
+// BENCH_<date>.json into dir. It returns the path written.
+func runBenchJSON(dir string) (string, error) {
 	out := benchFile{
 		Schema:    benchSchema,
 		Date:      time.Now().Format("2006-01-02"),
@@ -119,86 +111,19 @@ func runBenchJSON(dir string, cpus []int) (string, error) {
 		return "", fmt.Errorf("scenario benchmark: %w", benchErr)
 	}
 	nsPerOp := float64(scenarioRes.T.Nanoseconds()) / float64(scenarioRes.N)
-	plainOpsPerSec := float64(simulatedOps) / (nsPerOp / 1e9)
-	plainExtra := map[string]float64{
+	extra := map[string]float64{
 		"simulated_ops":         float64(simulatedOps),
-		"simulated_ops_per_sec": plainOpsPerSec,
-		"shards":                1,
+		"simulated_ops_per_sec": float64(simulatedOps) / (nsPerOp / 1e9),
 	}
-	profileExtras(plainExtra, lastProfile)
+	profileExtras(extra, lastProfile)
 	out.Benchmarks = append(out.Benchmarks, benchResult{
 		Name:        "scenario_quick",
 		Iterations:  scenarioRes.N,
 		NsPerOp:     nsPerOp,
 		AllocsPerOp: scenarioRes.AllocsPerOp(),
 		BytesPerOp:  scenarioRes.AllocedBytesPerOp(),
-		Extra:       plainExtra,
+		Extra:       extra,
 	})
-
-	// The same scenario on the sharded engine: workload drivers and the
-	// store's entropy streams run on their own lanes across cores. Results
-	// are bit-identical to scenario_quick (pinned by TestShardEquivalence);
-	// the point records how much wall-clock the lockstep engine buys — or
-	// costs — on this machine's core count.
-	benchSharded := func(name string) error {
-		shardedRes := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				spec := quickScenarioSpec(int64(i + 1))
-				spec.Shards = 4
-				scenario, err := autonosql.NewScenario(spec)
-				if err != nil {
-					benchErr = err
-					b.FailNow()
-				}
-				rep, err := scenario.Run()
-				if err != nil {
-					benchErr = err
-					b.FailNow()
-				}
-				simulatedOps = rep.Reads + rep.Writes
-				lastProfile = rep.Profile
-			}
-		})
-		if benchErr != nil {
-			return fmt.Errorf("sharded scenario benchmark (%s): %w", name, benchErr)
-		}
-		shardedNsPerOp := float64(shardedRes.T.Nanoseconds()) / float64(shardedRes.N)
-		shardedOpsPerSec := float64(simulatedOps) / (shardedNsPerOp / 1e9)
-		shardedExtra := map[string]float64{
-			"simulated_ops":         float64(simulatedOps),
-			"simulated_ops_per_sec": shardedOpsPerSec,
-			"shards":                4,
-			"speedup_vs_plain":      shardedOpsPerSec / plainOpsPerSec,
-			"gomaxprocs":            float64(runtime.GOMAXPROCS(0)),
-		}
-		profileExtras(shardedExtra, lastProfile)
-		out.Benchmarks = append(out.Benchmarks, benchResult{
-			Name:        name,
-			Iterations:  shardedRes.N,
-			NsPerOp:     shardedNsPerOp,
-			AllocsPerOp: shardedRes.AllocsPerOp(),
-			BytesPerOp:  shardedRes.AllocedBytesPerOp(),
-			Extra:       shardedExtra,
-		})
-		return nil
-	}
-	if err := benchSharded("scenario_quick_shards4"); err != nil {
-		return "", err
-	}
-	// The -cpus sweep re-measures the sharded benchmark pinned to each
-	// requested GOMAXPROCS, so one BENCH file can hold the 1-CPU overhead and
-	// the multi-core speedup side by side. The plain baseline above is NOT
-	// re-measured per value: speedup_vs_plain in these entries compares
-	// against the ambient-GOMAXPROCS plain run.
-	for _, n := range cpus {
-		prev := runtime.GOMAXPROCS(n)
-		err := benchSharded(fmt.Sprintf("scenario_quick_shards4_cpu%d", n))
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			return "", err
-		}
-	}
 
 	// Quick-suite throughput: a small grid run through the concurrent suite
 	// runner, measuring scenarios per wall-clock second.

@@ -7,9 +7,6 @@
 //	benchrunner -exp e1,e4 -quick   # run a subset at quick scale
 //	benchrunner -list               # list available experiments
 //	benchrunner -bench-json .       # record BENCH_<date>.json perf baseline
-//	benchrunner -bench-json . -cpus 1,2,4
-//	                                # additionally sweep the sharded benchmark
-//	                                # across GOMAXPROCS values
 //
 // The -bench-json mode runs the quick-scale performance benchmarks (one
 // whole scenario plus the concurrent quick suite) and writes a
@@ -22,28 +19,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"autonosql/internal/experiment"
 )
-
-// parseCPUList parses the -cpus flag: a comma-separated list of positive
-// GOMAXPROCS values. An empty flag yields nil.
-func parseCPUList(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("invalid -cpus entry %q: want positive integers", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
 
 func main() {
 	os.Exit(run(os.Args[1:]))
@@ -56,20 +35,13 @@ func run(args []string) int {
 		quick     = fs.Bool("quick", false, "run the reduced quick-scale sweep instead of the full one")
 		list      = fs.Bool("list", false, "list available experiments and exit")
 		benchJSON = fs.String("bench-json", "", "directory to write a BENCH_<date>.json performance baseline into (runs benchmarks instead of experiments)")
-		cpus      = fs.String("cpus", "", "comma-separated GOMAXPROCS values to additionally re-run the\nsharded benchmark under in -bench-json mode (e.g. 1,2,4)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	cpuList, err := parseCPUList(*cpus)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
-		return 2
-	}
-
 	if *benchJSON != "" {
-		path, err := runBenchJSON(*benchJSON, cpuList)
+		path, err := runBenchJSON(*benchJSON)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bench-json failed: %v\n", err)
 			return 1
@@ -102,11 +74,6 @@ func run(args []string) int {
 			}
 			runners = append(runners, r)
 		}
-	}
-
-	if len(cpuList) > 0 {
-		fmt.Fprintln(os.Stderr, "benchrunner: -cpus only applies to -bench-json mode")
-		return 2
 	}
 
 	fmt.Printf("autonosql experiment suite (%s scale)\n\n", scale)

@@ -37,7 +37,6 @@ func run(args []string, out *os.File) int {
 	fs := flag.NewFlagSet("hunter", flag.ContinueOnError)
 	var (
 		check       = fs.String("check", "", "verify every committed case in the given directory and exit")
-		shards      = fs.Int("shards", 1, "simulation shards per evaluation; a pure performance knob that\nnever affects scores or verification results")
 		objective   = fs.String("objective", "gold-violations", "badness objective: gold-violations, shed-storm, oscillation, cost-blowup")
 		seed        = fs.Int64("seed", 1, "hunter seed driving the mutation stream")
 		rounds      = fs.Int("rounds", 4, "hill-climbing rounds")
@@ -63,7 +62,7 @@ func run(args []string, out *os.File) int {
 	}
 
 	if *check != "" {
-		return runCheck(*check, *shards, out)
+		return runCheck(*check, out)
 	}
 
 	obj, err := hunt.ParseObjective(*objective)
@@ -96,7 +95,6 @@ func run(args []string, out *os.File) int {
 	}
 	spec.Faults = plan
 	spec.Controller.AllowPlacement = *placement
-	spec.Shards = *shards
 
 	cfg := hunt.Config{
 		Base:               spec,
@@ -145,10 +143,8 @@ func run(args []string, out *os.File) int {
 	return 0
 }
 
-// runCheck verifies every committed case in dir bit-for-bit. Shards is
-// forced onto every case spec before verification: committed scores and
-// traces must reproduce at any shard count.
-func runCheck(dir string, shards int, out *os.File) int {
+// runCheck verifies every committed case in dir bit-for-bit.
+func runCheck(dir string, out *os.File) int {
 	cases, err := hunt.LoadCases(dir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hunter: %v\n", err)
@@ -160,7 +156,6 @@ func runCheck(dir string, shards int, out *os.File) int {
 	}
 	failed := 0
 	for _, c := range cases {
-		c.Spec.Shards = shards
 		if err := c.Verify(dir); err != nil {
 			fmt.Fprintf(out, "FAIL %s: %v\n", c.Name, err)
 			failed++

@@ -63,8 +63,6 @@ func run(args []string, out *os.File) int {
 		decisions  = fs.Bool("decisions", false, "print the controller decision log")
 		recordPath = fs.String("record-trace", "", "record the run's arrival stream to the given JSON-lines trace file")
 		replayPath = fs.String("replay-trace", "", "replay arrivals from the given trace file instead of generating them\n(the trace's tenants must match -tenants)")
-		shards     = fs.Int("shards", 1, "simulation shards: >= 2 runs the workload drivers on their own\nlockstep lanes across cores; results are identical for any value")
-		epoch      = fs.Duration("epoch", 0, "lockstep epoch for -shards >= 2 (0 = default); results are invariant")
 		scaleTrace = fs.Float64("scale-trace", 1, "multiply every replayed arrival time by this factor (with -replay-trace;\n1.0 replays the trace bit-for-bit)")
 		traceOps   = fs.String("trace-ops", "", "write sampled op-trace spans (JSON lines) to the given file")
 		traceEvery = fs.Int("trace-every", 1, "with -trace-ops, sample every Nth operation")
@@ -113,8 +111,6 @@ func run(args []string, out *os.File) int {
 	}
 	spec.Controller.Admission = admissionSpec
 	spec.Controller.AllowPlacement = *placement
-	spec.Shards = *shards
-	spec.Epoch = *epoch
 	if *replayPath != "" {
 		trace, err := autonosql.ReadWorkloadTraceFile(*replayPath)
 		if err != nil {

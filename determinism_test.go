@@ -33,6 +33,16 @@ func fingerprintReport(r *autonosql.Report) string {
 	return r.Fingerprint()
 }
 
+// readGoldenFile loads a committed golden fingerprint.
+func readGoldenFile(t *testing.T, name string) string {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_"+name+".txt"))
+	if err != nil {
+		t.Fatalf("reading golden file: %v", err)
+	}
+	return string(want)
+}
+
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", "golden_"+name+".txt")

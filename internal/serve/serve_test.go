@@ -339,6 +339,7 @@ func TestDaemonRejectsBadSubmissions(t *testing.T) {
 		"suite without body":      `{"kind": "suite"}`,
 		"scenario with suite":     `{"kind": "scenario", "suite": {}}`,
 		"traces axis":             `{"suite": {"grid": {"Traces": [{"Name": "t"}]}}}`,
+		"removed Shards field":    `{"scenario": {"Shards": 2}}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+"/api/jobs", "application/json", strings.NewReader(body))
@@ -358,6 +359,85 @@ func TestDaemonRejectsBadSubmissions(t *testing.T) {
 	}
 	if resp, _ := post(t, ts.URL+"/api/jobs/nope/start", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("starting unknown job: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestDaemonResolvesBareGridNames pins that a grid entry carrying only a
+// name runs the built-in preset of that name — the same preset suiterunner's
+// axis flags select — instead of silently running with an empty plan, no
+// tenants or a zero SLA.
+func TestDaemonResolvesBareGridNames(t *testing.T) {
+	srv := NewServer(Options{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	base := smallSpec()
+	rawBase, err := json.Marshal(base)
+	if err != nil {
+		t.Fatalf("marshal base: %v", err)
+	}
+	grid := `{"Faults": [{"Name": "crash"}], "TenantMixes": [{"Name": "gold-bronze"}], "SLATiers": [{"Name": "tight"}]}`
+	st := submit(t, ts, JobRequest{Suite: &SuiteRequest{Base: rawBase, Grid: json.RawMessage(grid)}})
+
+	srv.mu.Lock()
+	job := srv.jobs[st.ID]
+	srv.mu.Unlock()
+	variants := job.suite.Variants()
+	if len(variants) != 1 {
+		t.Fatalf("%d variants, want 1", len(variants))
+	}
+	spec := variants[0].Spec
+	wantFaults, _ := autonosql.LookupFaultProfile("crash", base.Duration)
+	if got, want := fmt.Sprint(spec.Faults), fmt.Sprint(wantFaults.Plan); got != want {
+		t.Errorf("faults = %s, want the crash profile %s", got, want)
+	}
+	wantMix, _ := autonosql.LookupTenantMix("gold-bronze")
+	if got, want := len(spec.Tenants), len(wantMix.Tenants); got != want {
+		t.Errorf("%d tenants, want the gold-bronze mix's %d", got, want)
+	}
+	wantTier, _ := autonosql.LookupSLATier("tight")
+	if spec.SLA != wantTier.SLA {
+		t.Errorf("SLA = %+v, want the tight tier %+v", spec.SLA, wantTier.SLA)
+	}
+
+	// An empty-bodied entry whose name is no built-in preset is rejected,
+	// and the error names it.
+	for axis, grid := range map[string]string{
+		"faults":  `{"Faults": [{"Name": "quake"}]}`,
+		"tenants": `{"TenantMixes": [{"Name": "quake"}]}`,
+		"sla":     `{"SLATiers": [{"Name": "quake"}]}`,
+	} {
+		t.Run(axis, func(t *testing.T) {
+			resp, body := post(t, ts.URL+"/api/jobs", JobRequest{Suite: &SuiteRequest{Base: rawBase, Grid: json.RawMessage(grid)}})
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "quake") {
+				t.Errorf("status %d, body %s; want 400 naming %q", resp.StatusCode, body, "quake")
+			}
+		})
+	}
+}
+
+// TestDaemonCapsSubmitBody pins the request-body cap: an oversized POST is
+// refused with 413 before any job exists.
+func TestDaemonCapsSubmitBody(t *testing.T) {
+	ts := newTestDaemon(t)
+	body := `{"name": "` + strings.Repeat("x", maxSubmitBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/api/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("status %d (body %s), want %d", resp.StatusCode, b, http.StatusRequestEntityTooLarge)
+	}
+	_, listBody := get(t, ts.URL+"/api/jobs")
+	var list struct {
+		Jobs []JobStatus `json:"jobs"`
+	}
+	if err := json.Unmarshal(listBody, &list); err != nil {
+		t.Fatalf("decoding job list: %v", err)
+	}
+	if len(list.Jobs) != 0 {
+		t.Errorf("oversized submission created jobs %+v", list.Jobs)
 	}
 }
 

@@ -3,15 +3,22 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"autonosql"
 )
+
+// maxSubmitBytes caps a POST /api/jobs body. Real submissions are a few
+// kilobytes of spec and grid; the cap keeps one request from making the
+// daemon buffer an unbounded document.
+const maxSubmitBytes = 1 << 20
 
 // Options configures a Server.
 type Options struct {
@@ -105,11 +112,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	var req JobRequest
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding job request: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Errorf("decoding job request: %w", err))
 		return
 	}
 	job, err := s.buildJob(&req)
@@ -181,6 +193,9 @@ func (s *Server) buildJob(req *JobRequest) (*Job, error) {
 		if len(grid.Traces) > 0 {
 			return nil, fmt.Errorf("the traces axis cannot be submitted over JSON: recorded traces are in-process values (record with suiterunner -record-trace and replay locally)")
 		}
+		if err := resolveNamedEntries(&grid, base.Duration); err != nil {
+			return nil, err
+		}
 		j := newJob(s.allocateID(), req.Name, kindSuite, s.opts.RetainWindows)
 		j.maxViolation = req.Suite.MaxViolationMinutes
 		variants := autonosql.ExpandGrid(base, grid)
@@ -205,6 +220,46 @@ func (s *Server) buildJob(req *JobRequest) (*Job, error) {
 	default:
 		return nil, fmt.Errorf("unknown job kind %q (want %q or %q)", kind, kindScenario, kindSuite)
 	}
+}
+
+// resolveNamedEntries replaces every fault-profile, tenant-mix and SLA-tier
+// entry that carries only a name with the built-in preset of that name, the
+// same presets suiterunner's axis flags select. Without it a bare
+// {"Name": "crash"} would decode to an empty plan and run fault-free under a
+// faulty-sounding name. An empty-bodied entry with an unknown name is an
+// error.
+func resolveNamedEntries(grid *autonosql.Grid, d time.Duration) error {
+	for i, fp := range grid.Faults {
+		if !fp.Plan.Empty() {
+			continue
+		}
+		p, ok := autonosql.LookupFaultProfile(fp.Name, d)
+		if !ok {
+			return fmt.Errorf("fault profile %q has no plan and names no built-in profile", fp.Name)
+		}
+		grid.Faults[i] = p
+	}
+	for i, mix := range grid.TenantMixes {
+		if len(mix.Tenants) > 0 {
+			continue
+		}
+		m, ok := autonosql.LookupTenantMix(mix.Name)
+		if !ok {
+			return fmt.Errorf("tenant mix %q has no tenants and names no built-in mix", mix.Name)
+		}
+		grid.TenantMixes[i] = m
+	}
+	for i, tier := range grid.SLATiers {
+		if tier.SLA != (autonosql.SLASpec{}) {
+			continue
+		}
+		t, ok := autonosql.LookupSLATier(tier.Name)
+		if !ok {
+			return fmt.Errorf("SLA tier %q has no SLA and names no built-in tier", tier.Name)
+		}
+		grid.SLATiers[i] = t
+	}
+	return nil
 }
 
 func (s *Server) allocateID() string {

@@ -81,11 +81,6 @@ type Grid struct {
 	// every controller variant faces byte-identical client traffic. A trace's
 	// tenant population must match the variant's tenant declarations.
 	Traces []NamedTrace
-	// Shards are the simulation engine shard counts to sweep over. Shards is
-	// a pure performance knob — every count produces bit-for-bit identical
-	// reports — so this axis exists for benchmarking and for regression
-	// sweeps proving exactly that.
-	Shards []int
 	// Repeats runs every cell with that many different derived seeds
 	// (0 and 1 both mean one run per cell).
 	Repeats int
@@ -94,7 +89,7 @@ type Grid struct {
 // Size returns the number of variants the grid expands to over a base spec.
 func (g Grid) Size() int {
 	n := 1
-	for _, axis := range []int{len(g.Patterns), len(g.Controllers), len(g.ClusterSizes), len(g.SLATiers), len(g.Faults), len(g.TenantMixes), len(g.Traces), len(g.Shards)} {
+	for _, axis := range []int{len(g.Patterns), len(g.Controllers), len(g.ClusterSizes), len(g.SLATiers), len(g.Faults), len(g.TenantMixes), len(g.Traces)} {
 		if axis > 0 {
 			n *= axis
 		}
@@ -152,16 +147,10 @@ func ExpandGrid(base ScenarioSpec, grid Grid) []Variant {
 	if len(traces) == 0 {
 		traces = []NamedTrace{{Trace: base.Replay}}
 	}
-	shardCounts := grid.Shards
-	if len(shardCounts) == 0 {
-		shardCounts = []int{base.Shards}
-	}
 	repeats := grid.Repeats
 	if repeats < 1 {
 		repeats = 1
 	}
-	gridNoShards := grid
-	gridNoShards.Shards = nil
 
 	variants := make([]Variant, 0, grid.Size())
 	for _, pattern := range patterns {
@@ -171,53 +160,39 @@ func ExpandGrid(base ScenarioSpec, grid Grid) []Variant {
 					for _, fp := range faults {
 						for _, mix := range mixes {
 							for _, nt := range traces {
-								for _, shards := range shardCounts {
-									for rep := 0; rep < repeats; rep++ {
-										name := gridVariantName(grid, pattern, controller, size, tier, fp, mix, nt, shards, rep)
-										spec := base
-										if name == "base" {
-											// Degenerate grid with no swept axis: keep the
-											// base spec (and its seed) verbatim, so a suite
-											// of one reproduces a direct NewScenario run.
-											variants = append(variants, Variant{Name: name, Spec: spec})
-											continue
-										}
-										if len(grid.Patterns) > 0 {
-											spec.Workload.Pattern = pattern
-										}
-										if len(grid.Controllers) > 0 {
-											spec.Controller.Mode = controller
-										}
-										if len(grid.ClusterSizes) > 0 {
-											spec.Cluster.InitialNodes = size
-										}
-										if len(grid.SLATiers) > 0 {
-											spec.SLA = tier.SLA
-										}
-										if len(grid.Faults) > 0 {
-											spec.Faults = fp.Plan
-										}
-										if len(grid.TenantMixes) > 0 {
-											spec.Tenants = mix.Tenants
-										}
-										if len(grid.Traces) > 0 {
-											spec.Replay = nt.Trace
-										}
-										if len(grid.Shards) > 0 {
-											spec.Shards = shards
-										}
-										// The seed is derived from the name minus the
-										// shards component: shard count is a pure
-										// performance knob, so variants differing only in
-										// shards must simulate the identical system —
-										// which also makes the axis a live equivalence
-										// check on every sweep.
-										seedName := gridVariantName(gridNoShards, pattern, controller, size, tier, fp, mix, nt, shards, rep)
-										if seedName != "base" {
-											spec.Seed = sim.DeriveSeed(base.Seed, seedName)
-										}
+								for rep := 0; rep < repeats; rep++ {
+									name := gridVariantName(grid, pattern, controller, size, tier, fp, mix, nt, rep)
+									spec := base
+									if name == "base" {
+										// Degenerate grid with no swept axis: keep the
+										// base spec (and its seed) verbatim, so a suite
+										// of one reproduces a direct NewScenario run.
 										variants = append(variants, Variant{Name: name, Spec: spec})
+										continue
 									}
+									if len(grid.Patterns) > 0 {
+										spec.Workload.Pattern = pattern
+									}
+									if len(grid.Controllers) > 0 {
+										spec.Controller.Mode = controller
+									}
+									if len(grid.ClusterSizes) > 0 {
+										spec.Cluster.InitialNodes = size
+									}
+									if len(grid.SLATiers) > 0 {
+										spec.SLA = tier.SLA
+									}
+									if len(grid.Faults) > 0 {
+										spec.Faults = fp.Plan
+									}
+									if len(grid.TenantMixes) > 0 {
+										spec.Tenants = mix.Tenants
+									}
+									if len(grid.Traces) > 0 {
+										spec.Replay = nt.Trace
+									}
+									spec.Seed = sim.DeriveSeed(base.Seed, name)
+									variants = append(variants, Variant{Name: name, Spec: spec})
 								}
 							}
 						}
@@ -231,7 +206,7 @@ func ExpandGrid(base ScenarioSpec, grid Grid) []Variant {
 
 // gridVariantName builds the canonical variant name from the swept axis
 // values; axes the grid does not sweep contribute no component.
-func gridVariantName(grid Grid, pattern LoadPattern, controller ControllerMode, size int, tier SLATier, fp FaultProfile, mix TenantMix, nt NamedTrace, shards, rep int) string {
+func gridVariantName(grid Grid, pattern LoadPattern, controller ControllerMode, size int, tier SLATier, fp FaultProfile, mix TenantMix, nt NamedTrace, rep int) string {
 	var parts []string
 	if len(grid.Patterns) > 0 {
 		parts = append(parts, "pattern="+string(patternOrConstant(pattern)))
@@ -253,9 +228,6 @@ func gridVariantName(grid Grid, pattern LoadPattern, controller ControllerMode, 
 	}
 	if len(grid.Traces) > 0 {
 		parts = append(parts, "trace="+nt.Name)
-	}
-	if len(grid.Shards) > 0 {
-		parts = append(parts, fmt.Sprintf("shards=%d", shards))
 	}
 	if grid.Repeats > 1 {
 		parts = append(parts, fmt.Sprintf("rep=%d", rep))
@@ -301,7 +273,7 @@ func NewSuite(spec SuiteSpec) (*Suite, error) {
 	if len(spec.Grid.Patterns) == 0 && len(spec.Grid.Controllers) == 0 &&
 		len(spec.Grid.ClusterSizes) == 0 && len(spec.Grid.SLATiers) == 0 &&
 		len(spec.Grid.Faults) == 0 && len(spec.Grid.TenantMixes) == 0 &&
-		len(spec.Grid.Traces) == 0 && len(spec.Grid.Shards) == 0 &&
+		len(spec.Grid.Traces) == 0 &&
 		spec.Grid.Repeats <= 1 {
 		// A grid with no swept axis expands to the bare base spec; drop it
 		// when explicit variants are given, so SuiteSpec{Variants: ...} does
