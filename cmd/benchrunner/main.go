@@ -6,13 +6,9 @@
 //	benchrunner -exp all            # run every experiment at full scale
 //	benchrunner -exp e1,e4 -quick   # run a subset at quick scale
 //	benchrunner -list               # list available experiments
-//	benchrunner -bench-json .       # record BENCH_<date>.json perf baseline
 //
-// The -bench-json mode runs the quick-scale performance benchmarks (one
-// whole scenario plus the concurrent quick suite) and writes a
-// machine-readable BENCH_<date>.json into the given directory, so the
-// repository can track its performance trajectory over time (see
-// PERFORMANCE.md).
+// Performance is measured by the separate perfbench module (see
+// PERFORMANCE.md), not by this command.
 package main
 
 import (
@@ -31,23 +27,12 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("benchrunner", flag.ContinueOnError)
 	var (
-		exps      = fs.String("exp", "all", "comma-separated experiment ids (e1..e5) or 'all'")
-		quick     = fs.Bool("quick", false, "run the reduced quick-scale sweep instead of the full one")
-		list      = fs.Bool("list", false, "list available experiments and exit")
-		benchJSON = fs.String("bench-json", "", "directory to write a BENCH_<date>.json performance baseline into (runs benchmarks instead of experiments)")
+		exps  = fs.String("exp", "all", "comma-separated experiment ids (e1..e5) or 'all'")
+		quick = fs.Bool("quick", false, "run the reduced quick-scale sweep instead of the full one")
+		list  = fs.Bool("list", false, "list available experiments and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-
-	if *benchJSON != "" {
-		path, err := runBenchJSON(*benchJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench-json failed: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", path)
-		return 0
 	}
 
 	if *list {

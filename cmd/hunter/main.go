@@ -21,20 +21,24 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"autonosql"
+	"autonosql/internal/cli"
 	"autonosql/internal/hunt"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, out *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hunter", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	spec := specFlags(fs)
 	var (
 		check       = fs.String("check", "", "verify every committed case in the given directory and exit")
 		objective   = fs.String("objective", "gold-violations", "badness objective: gold-violations, shed-storm, oscillation, cost-blowup")
@@ -45,59 +49,23 @@ func run(args []string, out *os.File) int {
 		keep        = fs.Float64("keep", 0.9, "fraction of the worst score a shrunk case must retain")
 		outDir      = fs.String("out", "", "directory to persist the found case into (with -name)")
 		name        = fs.String("name", "", "case name for -out")
-
-		baseSeed   = fs.Int64("base-seed", 1, "scenario seed of the base spec")
-		duration   = fs.Duration("duration", 60*time.Second, "simulated duration of the base spec")
-		nodes      = fs.Int("nodes", 3, "initial cluster size")
-		nodeOps    = fs.Float64("node-ops", 2500, "per-node sustainable ops/s")
-		controller = fs.String("controller", "smart", "controller: none, reactive, smart")
-		tenants    = fs.String("tenants", "gold:diurnal:800:peak=1400:read=0.6,bronze:spike:300:peak=1800:read=0.2",
-			"base tenant mix (class:pattern:base[:peak=P][:read=F][:keys=K][:name=N], comma-separated)")
-		admission = fs.String("admission", "on", "admission control: off | on[:mode=][:frac=][:floor=][:cooldown=][:hold=]")
-		faults    = fs.String("faults", "", "base fault plan (kind:start:duration[:n=N][:sev=S], comma-separated)")
-		placement = fs.Bool("placement", false, "allow class-aware placement actions")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	if *check != "" {
-		return runCheck(*check, out)
+		return runCheck(*check, stdout, stderr)
 	}
 
 	obj, err := hunt.ParseObjective(*objective)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hunter: %v\n", err)
+		fmt.Fprintf(stderr, "hunter: %v\n", err)
 		return 2
 	}
-	spec := autonosql.DefaultScenarioSpec()
-	spec.Seed = *baseSeed
-	spec.Duration = *duration
-	spec.Cluster.InitialNodes = *nodes
-	spec.Cluster.NodeOpsPerSec = *nodeOps
-	spec.Controller.Mode = autonosql.ControllerMode(*controller)
-	tenantSpecs, err := autonosql.ParseTenantSpecs(*tenants)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hunter: %v\n", err)
-		return 2
-	}
-	spec.Tenants = tenantSpecs
-	admissionSpec, err := autonosql.ParseAdmissionSpec(*admission)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hunter: %v\n", err)
-		return 2
-	}
-	spec.Controller.Admission = admissionSpec
-	plan, err := autonosql.ParseFaultPlan(*faults)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hunter: %v\n", err)
-		return 2
-	}
-	spec.Faults = plan
-	spec.Controller.AllowPlacement = *placement
 
 	cfg := hunt.Config{
-		Base:               spec,
+		Base:               *spec,
 		Objective:          obj,
 		Seed:               *seed,
 		Rounds:             *rounds,
@@ -107,70 +75,83 @@ func run(args []string, out *os.File) int {
 	}
 	res, err := hunt.Run(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hunter: %v\n", err)
+		fmt.Fprintf(stderr, "hunter: %v\n", err)
 		return 1
 	}
 
-	fmt.Fprintf(out, "objective:   %s\n", obj)
-	fmt.Fprintf(out, "base score:  %s\n", hunt.FormatScore(res.BaseScore))
-	fmt.Fprintf(out, "worst score: %s\n", hunt.FormatScore(res.WorstScore))
-	fmt.Fprintf(out, "shrunk:      %s after %d evaluations\n", hunt.FormatScore(res.ShrunkScore), res.Evaluations)
+	fmt.Fprintf(stdout, "objective:   %s\n", obj)
+	fmt.Fprintf(stdout, "base score:  %s\n", hunt.FormatScore(res.BaseScore))
+	fmt.Fprintf(stdout, "worst score: %s\n", hunt.FormatScore(res.WorstScore))
+	fmt.Fprintf(stdout, "shrunk:      %s after %d evaluations\n", hunt.FormatScore(res.ShrunkScore), res.Evaluations)
 	if len(res.Mutations) == 0 {
-		fmt.Fprintf(out, "mutations:   none (the base spec is already the worst case found)\n")
+		fmt.Fprintf(stdout, "mutations:   none (the base spec is already the worst case found)\n")
 	} else {
-		fmt.Fprintf(out, "mutations (%d, minimal reproducing set):\n", len(res.Mutations))
+		fmt.Fprintf(stdout, "mutations (%d, minimal reproducing set):\n", len(res.Mutations))
 		for _, m := range res.Mutations {
-			fmt.Fprintf(out, "  - %s\n", m)
+			fmt.Fprintf(stdout, "  - %s\n", m)
 		}
 	}
 
 	if *outDir != "" {
 		if *name == "" {
-			fmt.Fprintln(os.Stderr, "hunter: -out requires -name")
+			fmt.Fprintln(stderr, "hunter: -out requires -name")
 			return 2
 		}
 		c, trace, err := hunt.NewCase(*name, cfg, res)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hunter: %v\n", err)
+			fmt.Fprintf(stderr, "hunter: %v\n", err)
 			return 1
 		}
 		if err := c.Save(*outDir, trace); err != nil {
-			fmt.Fprintf(os.Stderr, "hunter: %v\n", err)
+			fmt.Fprintf(stderr, "hunter: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(out, "saved %s/%s.json (+ trace, %d arrivals)\n", *outDir, *name, trace.EventCount())
+		fmt.Fprintf(stdout, "saved %s/%s.json (+ trace, %d arrivals)\n", *outDir, *name, trace.EventCount())
 	}
 	return 0
 }
 
 // runCheck verifies every committed case in dir bit-for-bit.
-func runCheck(dir string, out *os.File) int {
+func runCheck(dir string, stdout, stderr io.Writer) int {
 	cases, err := hunt.LoadCases(dir)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hunter: %v\n", err)
+		fmt.Fprintf(stderr, "hunter: %v\n", err)
 		return 1
 	}
 	if len(cases) == 0 {
-		fmt.Fprintf(os.Stderr, "hunter: no cases under %s\n", dir)
+		fmt.Fprintf(stderr, "hunter: no cases under %s\n", dir)
 		return 1
 	}
 	failed := 0
 	for _, c := range cases {
 		if err := c.Verify(dir); err != nil {
-			fmt.Fprintf(out, "FAIL %s: %v\n", c.Name, err)
+			fmt.Fprintf(stdout, "FAIL %s: %v\n", c.Name, err)
 			failed++
 			continue
 		}
-		fmt.Fprintf(out, "ok   %s (%s score %s, %d mutations)\n",
+		fmt.Fprintf(stdout, "ok   %s (%s score %s, %d mutations)\n",
 			c.Name, c.Objective, hunt.FormatScore(c.Score), len(c.Mutations))
 	}
 	if failed > 0 {
-		fmt.Fprintf(out, "%d/%d cases failed\n", failed, len(cases))
+		fmt.Fprintf(stdout, "%d/%d cases failed\n", failed, len(cases))
 		return 1
 	}
 	if !strings.HasSuffix(dir, "/") {
 		dir += "/"
 	}
-	fmt.Fprintf(out, "all %d cases under %s reproduce bit-for-bit\n", len(cases), dir)
+	fmt.Fprintf(stdout, "all %d cases under %s reproduce bit-for-bit\n", len(cases), dir)
 	return 0
+}
+
+// specFlags declares the base spec's flags on fs and returns the spec they
+// fill.
+func specFlags(fs *flag.FlagSet) *autonosql.ScenarioSpec {
+	spec := autonosql.DefaultScenarioSpec()
+	spec.Duration = 60 * time.Second
+	spec.Cluster.NodeOpsPerSec = 2500
+	cli.Bind(fs, &spec, cli.Duration, cli.Nodes, cli.NodeOps, cli.Controller,
+		cli.Tenants.Default("gold:diurnal:800:peak=1400:read=0.6,bronze:spike:300:peak=1800:read=0.2"),
+		cli.Admission.Default("on"), cli.Faults, cli.Placement)
+	fs.Int64Var(&spec.Seed, "base-seed", spec.Seed, "scenario seed of the base spec")
+	return &spec
 }

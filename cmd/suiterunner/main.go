@@ -18,7 +18,7 @@
 //	suiterunner -controllers none,reactive,smart -replay-trace run.trace.jsonl
 //	suiterunner -record-trace traces/                 # one trace file per variant
 //	suiterunner -csv sweep.csv -json sweep.json       # export the results
-//	suiterunner -stream-agg -spill-dir results/       # O(parallelism) memory
+//	suiterunner -spill-dir results/                   # one JSON file per variant
 //	suiterunner -list                                 # print the grid and exit
 package main
 
@@ -33,39 +33,32 @@ import (
 	"time"
 
 	"autonosql"
+	"autonosql/internal/cli"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, out *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("suiterunner", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	base := specFlags(fs)
 	var (
-		seed        = fs.Int64("seed", 1, "base seed; per-variant seeds are derived from it")
-		duration    = fs.Duration("duration", 5*time.Minute, "simulated duration per variant")
 		patterns    = fs.String("patterns", "constant,diurnal,spike", "comma-separated load patterns to sweep")
 		controllers = fs.String("controllers", "none,smart", "comma-separated controller modes to sweep")
 		nodes       = fs.String("nodes", "3,6", "comma-separated initial cluster sizes to sweep")
 		slaTiers    = fs.String("sla-tiers", "", "comma-separated SLA tiers to sweep (tight, default, loose); empty keeps the base SLA")
 		faultAxis   = fs.String("faults", "", "comma-separated fault profiles to sweep (none, crash, partition, slow, storm),\nscaled to the run duration; empty keeps runs fault-free")
-		tenants     = fs.String("tenants", "", "named tenants applied to every variant, comma-separated\nclass:pattern:base[:peak=P][:read=F][:keys=K][:name=N]")
-		admission   = fs.String("admission", "", "tenant admission control for smart variants:\noff | on[:frac=F][:floor=R][:cooldown=D][:hold=D]")
-		placement   = fs.Bool("placement", false, "allow smart variants to dedicate nodes to an SLA class")
 		mixAxis     = fs.String("tenant-mixes", "", "comma-separated tenant mixes to sweep (none, gold-bronze, three-tier);\nempty keeps the base tenants")
 		tenantsCSV  = fs.String("tenants-csv", "", "write the per-tenant results as CSV to this file")
 		repeats     = fs.Int("repeats", 1, "runs per grid cell with distinct derived seeds")
-		baseOps     = fs.Float64("base", 2000, "base offered load (ops/s)")
-		peakOps     = fs.Float64("peak", 4000, "peak offered load for non-constant patterns (ops/s)")
-		nodeOps     = fs.Float64("node-ops", 2000, "per-node sustainable ops/s")
-		maxNodes    = fs.Int("max-nodes", 12, "maximum cluster size reachable through scaling")
 		parallel    = fs.Int("parallelism", 0, "max concurrently running variants (0 = GOMAXPROCS)")
 		recordDir   = fs.String("record-trace", "", "directory to record every variant's arrival stream into\n(one <variant>.trace.jsonl file per variant)")
 		replayTrace = fs.String("replay-trace", "", "comma-separated trace files replayed as a grid axis; every variant on a\ntrace faces those exact recorded arrivals instead of generated ones")
 		csvPath     = fs.String("csv", "", "write the per-variant results as CSV to this file")
 		jsonPath    = fs.String("json", "", "write the full suite report as JSON to this file")
-		streamAgg   = fs.Bool("stream-agg", false, "aggregate results one variant at a time, retaining O(parallelism)\nreports instead of the whole grid; exports stream straight to their files")
-		spillDir    = fs.String("spill-dir", "", "write each variant's full result to its own JSON file in this\ndirectory as it completes (implies -stream-agg)")
+		spillDir    = fs.String("spill-dir", "", "write each variant's full result to its own JSON file in this\ndirectory as it completes")
 		audit       = fs.Bool("audit", false, "record each variant's MAPE decision audit trail into its report\n(carried by the -json export)")
 		traceDir    = fs.String("trace-ops", "", "directory to write each variant's sampled op-trace spans into\n(one <variant>.spans.jsonl file per variant)")
 		traceEvery  = fs.Int("trace-every", 1, "with -trace-ops, sample every Nth operation")
@@ -75,27 +68,6 @@ func run(args []string, out *os.File) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	base := autonosql.DefaultScenarioSpec()
-	base.Seed = *seed
-	base.Duration = *duration
-	base.Cluster.NodeOpsPerSec = *nodeOps
-	base.Cluster.MaxNodes = *maxNodes
-	base.Workload.BaseOpsPerSec = *baseOps
-	base.Workload.PeakOpsPerSec = *peakOps
-	baseTenants, err := autonosql.ParseTenantSpecs(*tenants)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
-		return 2
-	}
-	base.Tenants = baseTenants
-	admissionSpec, err := autonosql.ParseAdmissionSpec(*admission)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
-		return 2
-	}
-	base.Controller.Admission = admissionSpec
-	base.Controller.AllowPlacement = *placement
 	if *audit || *traceDir != "" || *profile {
 		base.Observe = &autonosql.ObserveSpec{
 			TraceOps:    *traceDir != "",
@@ -105,22 +77,22 @@ func run(args []string, out *os.File) int {
 		}
 	}
 
-	grid, err := buildGrid(*patterns, *controllers, *nodes, *slaTiers, *faultAxis, *mixAxis, *duration, *repeats)
+	grid, err := buildGrid(*patterns, *controllers, *nodes, *slaTiers, *faultAxis, *mixAxis, base.Duration, *repeats)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
+		fmt.Fprintf(stderr, "suiterunner: %v\n", err)
 		return 2
 	}
 	for _, path := range splitList(*replayTrace) {
 		trace, err := autonosql.ReadWorkloadTraceFile(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
+			fmt.Fprintf(stderr, "suiterunner: %v\n", err)
 			return 2
 		}
 		grid.Traces = append(grid.Traces, autonosql.NamedTrace{Name: traceName(path), Trace: trace})
 	}
 
 	suiteSpec := autonosql.SuiteSpec{
-		Base:        base,
+		Base:        *base,
 		Grid:        grid,
 		Parallelism: *parallel,
 	}
@@ -130,7 +102,7 @@ func run(args []string, out *os.File) int {
 	// extraction after the run.
 	var held []*autonosql.Scenario
 	if *recordDir != "" || *traceDir != "" {
-		expanded := autonosql.ExpandGrid(base, grid)
+		expanded := autonosql.ExpandGrid(*base, grid)
 		held = make([]*autonosql.Scenario, len(expanded))
 		record := *recordDir != ""
 		for i := range expanded {
@@ -147,14 +119,14 @@ func run(args []string, out *os.File) int {
 	}
 	suite, err := autonosql.NewSuite(suiteSpec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
+		fmt.Fprintf(stderr, "suiterunner: %v\n", err)
 		return 2
 	}
 
 	variants := suite.Variants()
 	if *list {
 		for _, v := range variants {
-			fmt.Fprintf(out, "%-60s seed=%d\n", v.Name, v.Spec.Seed)
+			fmt.Fprintf(stdout, "%-60s seed=%d\n", v.Name, v.Spec.Seed)
 		}
 		return 0
 	}
@@ -164,182 +136,120 @@ func run(args []string, out *os.File) int {
 	// overwrite each other's output.
 	if *recordDir != "" || *traceDir != "" {
 		if err := detectTraceCollisions(variants); err != nil {
-			fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
+			fmt.Fprintf(stderr, "suiterunner: %v\n", err)
 			return 2
 		}
 	}
 
-	fmt.Fprintf(out, "autonosql suite: %d variants, %v simulated each\n\n", len(variants), *duration)
+	fmt.Fprintf(stdout, "autonosql suite: %d variants, %v simulated each\n\n", len(variants), base.Duration)
 	started := time.Now()
 
-	// Two execution paths with identical output bytes: the default holds the
-	// whole SuiteReport in memory; -stream-agg folds each result into a
-	// SuiteAggregator as it completes, writing the exports incrementally and
-	// retaining O(parallelism) reports. Either way a mid-suite failure keeps
-	// the completed variants: tables and exports cover the completed prefix
-	// and the failure is reported alongside.
-	type suiteTables interface {
-		ComparisonTable() string
-		CostTable() string
-		FaultsTable() string
-		TenantsTable() string
+	// Results fold into a SuiteAggregator as they complete, so exports stream
+	// straight to their files and only O(parallelism) reports are retained.
+	// A mid-suite failure keeps the completed variants: tables and exports
+	// cover the completed prefix and the failure is reported alongside.
+	opts := autonosql.SuiteAggregatorOptions{SpillDir: *spillDir}
+	var files []*os.File
+	defer func() {
+		for _, f := range files {
+			f.Close() // error paths only; the success path checks Close below
+		}
+	}()
+	for _, out := range []struct {
+		path string
+		w    *io.Writer
+	}{{*csvPath, &opts.CSV}, {*jsonPath, &opts.JSON}, {*tenantsCSV, &opts.TenantsCSV}} {
+		if out.path == "" {
+			continue
+		}
+		f, err := os.Create(out.path)
+		if err != nil {
+			fmt.Fprintf(stderr, "suiterunner: %v\n", err)
+			return 1
+		}
+		files = append(files, f)
+		*out.w = f
 	}
-	var (
-		tables    suiteTables
-		cheapest  *autonosql.VariantResult
-		failures  []error
-		completed int
-		runErr    error
-	)
-	if *streamAgg || *spillDir != "" {
-		opts := autonosql.SuiteAggregatorOptions{SpillDir: *spillDir}
-		var files []*os.File
-		open := func(path string) *os.File {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
-				return nil
-			}
-			files = append(files, f)
-			return f
-		}
-		if *csvPath != "" {
-			if opts.CSV = open(*csvPath); opts.CSV == nil {
-				return 1
-			}
-		}
-		if *jsonPath != "" {
-			if opts.JSON = open(*jsonPath); opts.JSON == nil {
-				return 1
-			}
-		}
-		if *tenantsCSV != "" {
-			if opts.TenantsCSV = open(*tenantsCSV); opts.TenantsCSV == nil {
-				return 1
-			}
-		}
-		agg := autonosql.NewSuiteAggregator(opts)
-		_, runErr = suite.RunStream(agg.Consume())
-		if err := agg.Close(); err != nil && runErr == nil {
+	agg := autonosql.NewSuiteAggregator(opts)
+	_, runErr := suite.RunStream(agg.Consume())
+	if err := agg.Close(); err != nil && runErr == nil {
+		runErr = err
+	}
+	for _, f := range files {
+		if err := f.Close(); err != nil && runErr == nil {
 			runErr = err
 		}
-		for _, f := range files {
-			if err := f.Close(); err != nil && runErr == nil {
-				runErr = err
-			}
-		}
-		tables = agg
-		cheapest = agg.CheapestCompliant()
-		failures = agg.Failures()
-		completed = agg.Added() - len(failures)
-	} else {
-		var report *autonosql.SuiteReport
-		report, runErr = suite.Run()
-		tables = report
-		cheapest = report.CheapestCompliant(0)
-		for _, v := range report.Variants {
-			if v.Err != nil {
-				failures = append(failures, v.Err)
-			}
-		}
-		completed = report.Len() - len(failures)
 	}
 
-	fmt.Fprint(out, tables.ComparisonTable())
-	fmt.Fprintln(out)
-	fmt.Fprint(out, tables.CostTable())
-	if ft := tables.FaultsTable(); ft != "" {
-		fmt.Fprintln(out)
-		fmt.Fprint(out, ft)
+	fmt.Fprint(stdout, agg.ComparisonTable())
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, agg.CostTable())
+	if ft := agg.FaultsTable(); ft != "" {
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, ft)
 	}
-	if tt := tables.TenantsTable(); tt != "" {
-		fmt.Fprintln(out)
-		fmt.Fprint(out, tt)
+	if tt := agg.TenantsTable(); tt != "" {
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, tt)
 	}
-	fmt.Fprintf(out, "\ncompleted in %v\n", time.Since(started).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "\ncompleted in %v\n", time.Since(started).Round(time.Millisecond))
 
 	if *recordDir != "" && runErr == nil {
 		if err := os.MkdirAll(*recordDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
+			fmt.Fprintf(stderr, "suiterunner: %v\n", err)
 			return 1
 		}
 		for i, v := range variants {
 			trace, err := held[i].RecordedTrace()
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "suiterunner: variant %q: %v\n", v.Name, err)
+				fmt.Fprintf(stderr, "suiterunner: variant %q: %v\n", v.Name, err)
 				return 1
 			}
 			path := filepath.Join(*recordDir, traceFileName(v.Name))
 			if err := trace.WriteFile(path); err != nil {
-				fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
+				fmt.Fprintf(stderr, "suiterunner: %v\n", err)
 				return 1
 			}
 		}
-		fmt.Fprintf(out, "recorded %d variant traces to %s\n", len(variants), *recordDir)
+		fmt.Fprintf(stdout, "recorded %d variant traces to %s\n", len(variants), *recordDir)
 	}
 	if *traceDir != "" && runErr == nil {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
+			fmt.Fprintf(stderr, "suiterunner: %v\n", err)
 			return 1
 		}
 		for i, v := range variants {
 			path := filepath.Join(*traceDir, spanFileName(v.Name))
-			if err := writeFile(path, held[i].WriteSpans); err != nil {
-				fmt.Fprintf(os.Stderr, "suiterunner: variant %q: %v\n", v.Name, err)
+			if err := cli.WriteFile(path, held[i].WriteSpans); err != nil {
+				fmt.Fprintf(stderr, "suiterunner: variant %q: %v\n", v.Name, err)
 				return 1
 			}
 		}
-		fmt.Fprintf(out, "wrote %d variant span files to %s\n", len(variants), *traceDir)
+		fmt.Fprintf(stdout, "wrote %d variant span files to %s\n", len(variants), *traceDir)
 	}
 
-	if cheapest != nil {
-		fmt.Fprintf(out, "cheapest fully compliant variant: %s ($%.2f)\n", cheapest.Name, cheapest.Report.Cost.Total)
+	if cheapest := agg.CheapestCompliant(); cheapest != nil {
+		fmt.Fprintf(stdout, "cheapest fully compliant variant: %s ($%.2f)\n", cheapest.Name, cheapest.Report.Cost.Total)
 	}
-
-	if !*streamAgg && *spillDir == "" {
-		report := tables.(*autonosql.SuiteReport)
-		if *csvPath != "" {
-			if err := writeFile(*csvPath, report.WriteCSV); err != nil {
-				fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
-				return 1
-			}
-			fmt.Fprintf(out, "wrote CSV results to %s\n", *csvPath)
-		}
-		if *jsonPath != "" {
-			if err := writeFile(*jsonPath, report.WriteJSON); err != nil {
-				fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
-				return 1
-			}
-			fmt.Fprintf(out, "wrote JSON report to %s\n", *jsonPath)
-		}
-		if *tenantsCSV != "" {
-			if err := writeFile(*tenantsCSV, report.WriteTenantsCSV); err != nil {
-				fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
-				return 1
-			}
-			fmt.Fprintf(out, "wrote per-tenant CSV results to %s\n", *tenantsCSV)
-		}
-	} else {
-		if *csvPath != "" {
-			fmt.Fprintf(out, "wrote CSV results to %s\n", *csvPath)
-		}
-		if *jsonPath != "" {
-			fmt.Fprintf(out, "wrote JSON report to %s\n", *jsonPath)
-		}
-		if *tenantsCSV != "" {
-			fmt.Fprintf(out, "wrote per-tenant CSV results to %s\n", *tenantsCSV)
-		}
-		if *spillDir != "" {
-			fmt.Fprintf(out, "spilled per-variant results to %s\n", *spillDir)
-		}
+	if *csvPath != "" {
+		fmt.Fprintf(stdout, "wrote CSV results to %s\n", *csvPath)
+	}
+	if *jsonPath != "" {
+		fmt.Fprintf(stdout, "wrote JSON report to %s\n", *jsonPath)
+	}
+	if *tenantsCSV != "" {
+		fmt.Fprintf(stdout, "wrote per-tenant CSV results to %s\n", *tenantsCSV)
+	}
+	if *spillDir != "" {
+		fmt.Fprintf(stdout, "spilled per-variant results to %s\n", *spillDir)
 	}
 
 	if runErr != nil {
-		for _, e := range failures {
-			fmt.Fprintf(os.Stderr, "suiterunner: %v\n", e)
+		for _, e := range agg.Failures() {
+			fmt.Fprintf(stderr, "suiterunner: %v\n", e)
 		}
-		fmt.Fprintf(os.Stderr, "suiterunner: %v (results above cover the %d completed variants)\n",
-			runErr, completed)
+		fmt.Fprintf(stderr, "suiterunner: %v (results above cover the %d completed variants)\n",
+			runErr, agg.Added()-len(agg.Failures()))
 		return 1
 	}
 	return 0
@@ -445,14 +355,16 @@ func splitList(s string) []string {
 	return out
 }
 
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+// specFlags declares the scalar spec flags that are not grid axes on fs and
+// returns the base spec they fill.
+func specFlags(fs *flag.FlagSet) *autonosql.ScenarioSpec {
+	spec := autonosql.DefaultScenarioSpec()
+	spec.Cluster.NodeOpsPerSec = 2000
+	spec.Cluster.MaxNodes = 12
+	spec.Workload.BaseOpsPerSec = 2000
+	spec.Workload.PeakOpsPerSec = 4000
+	cli.Bind(fs, &spec, cli.Duration, cli.Base, cli.Peak, cli.NodeOps, cli.MaxNodes,
+		cli.Tenants, cli.Admission, cli.Placement)
+	fs.Int64Var(&spec.Seed, "seed", spec.Seed, "base seed; per-variant seeds are derived from it")
+	return &spec
 }

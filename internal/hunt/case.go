@@ -1,6 +1,7 @@
 package hunt
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -114,8 +115,12 @@ func LoadCases(dir string) ([]*Case, error) {
 		if err != nil {
 			return nil, fmt.Errorf("hunt: %w", err)
 		}
+		// Strict decoding: a key the spec no longer has must fail loudly, not
+		// be dropped while the case still claims to pin the same run.
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
 		var c Case
-		if err := json.Unmarshal(data, &c); err != nil {
+		if err := dec.Decode(&c); err != nil {
 			return nil, fmt.Errorf("hunt: %s: %w", e.Name(), err)
 		}
 		if want := strings.TrimSuffix(e.Name(), ".json"); c.Name != want {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -192,6 +193,36 @@ func TestCaseSaveLoadVerify(t *testing.T) {
 	loaded[0].Fingerprint += "x"
 	if err := loaded[0].Verify(dir); err == nil {
 		t.Fatal("Verify accepted a tampered fingerprint")
+	}
+}
+
+// TestLoadCasesRejectsUnknownKeys pins strict case decoding: a key the spec
+// no longer has (here the deleted Shards field) fails the load with an error
+// naming the file, instead of being dropped while the case still claims to
+// pin the same run.
+func TestLoadCasesRejectsUnknownKeys(t *testing.T) {
+	data, err := json.Marshal(Case{Name: "stale", Spec: huntBase()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["spec"].(map[string]any)["Shards"] = 1
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "stale.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadCases(dir)
+	if err == nil {
+		t.Fatal("LoadCases accepted a case with an unknown spec key")
+	}
+	if !strings.Contains(err.Error(), "stale.json") || !strings.Contains(err.Error(), "Shards") {
+		t.Errorf("error %q does not name the file and the unknown key", err)
 	}
 }
 

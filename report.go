@@ -271,8 +271,8 @@ type SpanStats struct {
 
 // ProfileReport is the engine's deterministic self-profiling section,
 // populated only when Observe.Profile is set. Wall-clock quantities are
-// deliberately absent — they vary run to run — and live in the benchrunner's
-// measurements instead.
+// deliberately absent — they vary run to run — and live in the perfbench
+// module's measurements instead.
 type ProfileReport struct {
 	// Events counts fired events; PoolHits/PoolMisses measure the
 	// pooled-event free list, and HeapPeak is the largest pending-event heap
