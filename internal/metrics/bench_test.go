@@ -105,7 +105,7 @@ func BenchmarkWindowedQuantilesSeparate(b *testing.B) {
 
 // BenchmarkTimeSeriesAppend measures the sampler's per-tick series append.
 func BenchmarkTimeSeriesAppend(b *testing.B) {
-	ts := NewTimeSeries("bench")
+	var ts TimeSeries
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

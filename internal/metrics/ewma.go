@@ -37,15 +37,6 @@ func (e *EWMA) Update(sample float64) float64 {
 // Value returns the current average (zero before the first sample).
 func (e *EWMA) Value() float64 { return e.value }
 
-// Initialized reports whether at least one sample has been observed.
-func (e *EWMA) Initialized() bool { return e.initialized }
-
-// Reset clears the average.
-func (e *EWMA) Reset() {
-	e.value = 0
-	e.initialized = false
-}
-
 // Counter is a monotonically increasing event counter.
 type Counter struct {
 	n uint64
@@ -54,25 +45,8 @@ type Counter struct {
 // Inc adds one to the counter.
 func (c *Counter) Inc() { c.n++ }
 
-// Add adds delta to the counter.
-func (c *Counter) Add(delta uint64) { c.n += delta }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
-// Gauge holds a single instantaneous value.
-type Gauge struct {
-	v float64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Value returns the stored value.
-func (g *Gauge) Value() float64 { return g.v }
 
 // MeanVariance accumulates mean and variance online (Welford's algorithm).
 // The controller's knowledge base uses it to track the observed effect of

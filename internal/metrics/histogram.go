@@ -1,11 +1,3 @@
-// Package metrics provides the measurement primitives used throughout the
-// autonosql simulator: duration histograms with percentile estimation,
-// exponentially weighted moving averages, counters, gauges, time series and
-// windowed aggregation.
-//
-// The package is deliberately dependency-free and allocation-conscious: the
-// simulator records millions of samples per experiment, and the controller
-// consumes aggregated snapshots of these structures every control interval.
 package metrics
 
 import (
@@ -42,19 +34,12 @@ func NewHistogram(cap int) *Histogram {
 		cap = DefaultHistogramCap
 	}
 	return &Histogram{
-		samples:  make([]float64, 0, minInt(cap, 4096)),
+		samples:  make([]float64, 0, min(cap, 4096)),
 		min:      math.Inf(1),
 		max:      math.Inf(-1),
 		cap:      cap,
 		rngState: 0x853c49e6748fea9b,
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Observe records one sample.
@@ -99,9 +84,6 @@ func (h *Histogram) nextRand() uint64 {
 // Count returns the number of observed samples.
 func (h *Histogram) Count() uint64 { return h.count }
 
-// Sum returns the sum of all observed samples.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Mean returns the mean of all observed samples, or zero when empty.
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {
@@ -127,7 +109,10 @@ func (h *Histogram) Max() float64 {
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of the retained samples using
-// linear interpolation. It returns zero for an empty histogram.
+// linear interpolation, the same interpolation WindowedStat uses. It returns
+// zero for an empty histogram; q <= 0 and q >= 1 answer the overall minimum
+// and maximum, which survive reservoir replacement. The reservoir is sorted
+// in place.
 func (h *Histogram) Quantile(q float64) float64 {
 	if len(h.samples) == 0 {
 		return 0
@@ -142,30 +127,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		sort.Float64s(h.samples)
 		h.sorted = true
 	}
-	pos := q * float64(len(h.samples)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return h.samples[lo]
-	}
-	frac := pos - float64(lo)
-	return h.samples[lo]*(1-frac) + h.samples[hi]*frac
-}
-
-// QuantileDuration returns the q-quantile interpreted as a duration in
-// seconds.
-func (h *Histogram) QuantileDuration(q float64) time.Duration {
-	return time.Duration(h.Quantile(q) * float64(time.Second))
-}
-
-// Reset discards all samples.
-func (h *Histogram) Reset() {
-	h.samples = h.samples[:0]
-	h.count = 0
-	h.sum = 0
-	h.min = math.Inf(1)
-	h.max = math.Inf(-1)
-	h.sorted = false
+	return quantileOfSorted(h.samples, q)
 }
 
 // Snapshot captures the common summary statistics of a histogram.

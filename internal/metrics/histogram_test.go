@@ -59,22 +59,27 @@ func TestHistogramDuration(t *testing.T) {
 	h := NewHistogram(0)
 	h.ObserveDuration(100 * time.Millisecond)
 	h.ObserveDuration(300 * time.Millisecond)
-	got := h.QuantileDuration(1)
-	if got != 300*time.Millisecond {
-		t.Fatalf("QuantileDuration(1) = %v, want 300ms", got)
+	if got := h.Quantile(1); got != 0.3 {
+		t.Fatalf("Quantile(1) = %v, want 0.3 s", got)
 	}
 }
 
-func TestHistogramReset(t *testing.T) {
+// TestHistogramAgreesWithWindowedStat pins the shared interpolation: below
+// the histogram's cap and the window's size both retain every sample, so
+// every quantile must agree bit for bit.
+func TestHistogramAgreesWithWindowedStat(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
 	h := NewHistogram(0)
-	h.Observe(42)
-	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 {
-		t.Fatal("Reset did not clear histogram")
+	w := NewWindowedStat(1000)
+	for i := 0; i < 777; i++ {
+		v := rng.ExpFloat64() * 0.01
+		h.Observe(v)
+		w.Observe(v)
 	}
-	h.Observe(1)
-	if h.Mean() != 1 {
-		t.Fatalf("Mean after reset = %v, want 1", h.Mean())
+	for _, q := range []float64{0, 0.001, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1} {
+		if hq, wq := h.Quantile(q), w.Quantile(q); math.Float64bits(hq) != math.Float64bits(wq) {
+			t.Errorf("q=%v: Histogram %v, WindowedStat %v", q, hq, wq)
+		}
 	}
 }
 
@@ -137,8 +142,8 @@ func TestSnapshotString(t *testing.T) {
 
 func TestEWMA(t *testing.T) {
 	e := NewEWMA(0.5)
-	if e.Initialized() {
-		t.Fatal("new EWMA should not be initialized")
+	if e.Value() != 0 {
+		t.Fatalf("new EWMA = %v, want 0", e.Value())
 	}
 	if got := e.Update(10); got != 10 {
 		t.Fatalf("first update = %v, want 10", got)
@@ -148,10 +153,6 @@ func TestEWMA(t *testing.T) {
 	}
 	if e.Value() != 15 {
 		t.Fatalf("Value = %v, want 15", e.Value())
-	}
-	e.Reset()
-	if e.Initialized() || e.Value() != 0 {
-		t.Fatal("Reset did not clear EWMA")
 	}
 }
 
@@ -179,19 +180,14 @@ func TestEWMAConvergesToConstant(t *testing.T) {
 
 func TestCounterAndGauge(t *testing.T) {
 	var c Counter
-	c.Inc()
-	c.Add(4)
+	if c.Value() != 0 {
+		t.Fatalf("zero Counter = %d, want 0", c.Value())
+	}
+	for i := 0; i < 5; i++ {
+		c.Inc()
+	}
 	if c.Value() != 5 {
 		t.Fatalf("Counter = %d, want 5", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("Counter reset failed")
-	}
-	var g Gauge
-	g.Set(3.5)
-	if g.Value() != 3.5 {
-		t.Fatalf("Gauge = %v, want 3.5", g.Value())
 	}
 }
 

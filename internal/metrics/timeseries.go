@@ -1,9 +1,7 @@
 package metrics
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -13,30 +11,19 @@ type Point struct {
 	Value float64
 }
 
-// TimeSeries stores timestamped observations in arrival order. Experiments
-// use it to record how metrics such as the inconsistency window, cluster
-// size or cost evolve over a run, and to render figure-like series output.
+// TimeSeries stores timestamped observations in arrival order. A scenario
+// keeps one per reported metric (inconsistency window, cluster size, load,
+// ...) to record how it evolves over a run. The zero value is empty and ready
+// to use.
 type TimeSeries struct {
-	name   string
 	points []Point
 }
 
-// NewTimeSeries creates an empty named series.
-func NewTimeSeries(name string) *TimeSeries {
-	return &TimeSeries{name: name}
-}
-
-// Name returns the series name.
-func (ts *TimeSeries) Name() string { return ts.name }
-
 // Append records a point. Points are expected in non-decreasing time order;
-// out-of-order points are accepted but sorted lazily on query.
+// out-of-order points are accepted and sorted by Points.
 func (ts *TimeSeries) Append(at time.Duration, value float64) {
 	ts.points = append(ts.points, Point{At: at, Value: value})
 }
-
-// Len returns the number of points.
-func (ts *TimeSeries) Len() int { return len(ts.points) }
 
 // Points returns a copy of the stored points sorted by time.
 func (ts *TimeSeries) Points() []Point {
@@ -52,103 +39,6 @@ func (ts *TimeSeries) Last() (Point, bool) {
 		return Point{}, false
 	}
 	return ts.points[len(ts.points)-1], true
-}
-
-// Mean returns the mean of all values (zero when empty).
-func (ts *TimeSeries) Mean() float64 {
-	if len(ts.points) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range ts.points {
-		sum += p.Value
-	}
-	return sum / float64(len(ts.points))
-}
-
-// Max returns the maximum value (zero when empty).
-func (ts *TimeSeries) Max() float64 {
-	max := 0.0
-	for i, p := range ts.points {
-		if i == 0 || p.Value > max {
-			max = p.Value
-		}
-	}
-	return max
-}
-
-// Between returns the points with At in [from, to).
-func (ts *TimeSeries) Between(from, to time.Duration) []Point {
-	var out []Point
-	for _, p := range ts.Points() {
-		if p.At >= from && p.At < to {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// Resample aggregates the series into fixed buckets of the given width,
-// averaging the values inside each bucket. Empty buckets carry the previous
-// bucket's value forward (or zero at the start). The result always covers
-// [0, horizon).
-func (ts *TimeSeries) Resample(bucket, horizon time.Duration) []Point {
-	if bucket <= 0 || horizon <= 0 {
-		return nil
-	}
-	n := int(horizon / bucket)
-	if n == 0 {
-		n = 1
-	}
-	sums := make([]float64, n)
-	counts := make([]int, n)
-	for _, p := range ts.points {
-		idx := int(p.At / bucket)
-		if idx < 0 || idx >= n {
-			continue
-		}
-		sums[idx] += p.Value
-		counts[idx]++
-	}
-	out := make([]Point, n)
-	prev := 0.0
-	for i := 0; i < n; i++ {
-		v := prev
-		if counts[i] > 0 {
-			v = sums[i] / float64(counts[i])
-		}
-		out[i] = Point{At: time.Duration(i) * bucket, Value: v}
-		prev = v
-	}
-	return out
-}
-
-// ASCIIPlot renders a crude fixed-width plot of the series, useful for
-// figure-like output from the benchmark harness and examples.
-func (ts *TimeSeries) ASCIIPlot(bucket, horizon time.Duration, width int) string {
-	pts := ts.Resample(bucket, horizon)
-	if len(pts) == 0 {
-		return "(empty series)"
-	}
-	if width <= 0 {
-		width = 50
-	}
-	max := 0.0
-	for _, p := range pts {
-		if p.Value > max {
-			max = p.Value
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (max=%.4g)\n", ts.name, max)
-	for _, p := range pts {
-		bars := 0
-		if max > 0 {
-			bars = int(p.Value / max * float64(width))
-		}
-		fmt.Fprintf(&b, "%8s |%s %.4g\n", p.At.Truncate(time.Second), strings.Repeat("#", bars), p.Value)
-	}
-	return b.String()
 }
 
 // WindowedStat maintains summary statistics over a sliding window of the
@@ -210,18 +100,6 @@ func (w *WindowedStat) Mean() float64 {
 	return sum / float64(len(vs))
 }
 
-// Max returns the maximum sample in the window.
-func (w *WindowedStat) Max() float64 {
-	vs := w.values()
-	max := 0.0
-	for i, v := range vs {
-		if i == 0 || v > max {
-			max = v
-		}
-	}
-	return max
-}
-
 // Quantile returns the q-quantile of the window contents.
 func (w *WindowedStat) Quantile(q float64) float64 {
 	cp := w.sortedScratch()
@@ -260,8 +138,9 @@ func (w *WindowedStat) sortedScratch() []float64 {
 }
 
 // quantileOfSorted interpolates the q-quantile over an already sorted,
-// non-empty sample slice. It is the single implementation behind Quantile and
-// Quantiles, so batched and one-shot queries agree bit for bit.
+// non-empty sample slice. It is the single interpolation behind
+// WindowedStat's Quantile and Quantiles and Histogram's Quantile, so the
+// three agree bit for bit on the same samples.
 func quantileOfSorted(cp []float64, q float64) float64 {
 	if q <= 0 {
 		return cp[0]
@@ -276,28 +155,4 @@ func quantileOfSorted(cp []float64, q float64) float64 {
 		return cp[lo]
 	}
 	return cp[lo]*(1-frac) + cp[lo+1]*frac
-}
-
-// Trend returns a least-squares slope over the window contents interpreted
-// as equally spaced samples: positive when the metric is rising. The
-// controller's predictor uses it for simple load forecasting.
-func (w *WindowedStat) Trend() float64 {
-	vs := w.values()
-	n := float64(len(vs))
-	if n < 2 {
-		return 0
-	}
-	var sumX, sumY, sumXY, sumXX float64
-	for i, v := range vs {
-		x := float64(i)
-		sumX += x
-		sumY += v
-		sumXY += x * v
-		sumXX += x * x
-	}
-	denom := n*sumXX - sumX*sumX
-	if denom == 0 {
-		return 0
-	}
-	return (n*sumXY - sumX*sumY) / denom
 }

@@ -1,31 +1,21 @@
 package metrics
 
 import (
-	"math"
-	"strings"
+	"errors"
 	"testing"
 	"time"
 )
 
 func TestTimeSeriesBasics(t *testing.T) {
-	ts := NewTimeSeries("window")
-	if ts.Name() != "window" {
-		t.Fatalf("Name = %q", ts.Name())
-	}
+	var ts TimeSeries
 	if _, ok := ts.Last(); ok {
 		t.Fatal("Last on empty series should report false")
 	}
 	ts.Append(1*time.Second, 10)
 	ts.Append(2*time.Second, 20)
 	ts.Append(3*time.Second, 30)
-	if ts.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", ts.Len())
-	}
-	if ts.Mean() != 20 {
-		t.Fatalf("Mean = %v, want 20", ts.Mean())
-	}
-	if ts.Max() != 30 {
-		t.Fatalf("Max = %v, want 30", ts.Max())
+	if n := len(ts.Points()); n != 3 {
+		t.Fatalf("Points has %d entries, want 3", n)
 	}
 	last, ok := ts.Last()
 	if !ok || last.Value != 30 {
@@ -34,7 +24,7 @@ func TestTimeSeriesBasics(t *testing.T) {
 }
 
 func TestTimeSeriesBetweenAndSorting(t *testing.T) {
-	ts := NewTimeSeries("x")
+	var ts TimeSeries
 	ts.Append(3*time.Second, 3)
 	ts.Append(1*time.Second, 1)
 	ts.Append(2*time.Second, 2)
@@ -44,59 +34,11 @@ func TestTimeSeriesBetweenAndSorting(t *testing.T) {
 			t.Fatal("Points() not sorted by time")
 		}
 	}
-	between := ts.Between(1*time.Second, 3*time.Second)
-	if len(between) != 2 {
-		t.Fatalf("Between returned %d points, want 2", len(between))
-	}
-}
-
-func TestTimeSeriesResample(t *testing.T) {
-	ts := NewTimeSeries("load")
-	for i := 0; i < 10; i++ {
-		ts.Append(time.Duration(i)*time.Second, float64(i))
-	}
-	pts := ts.Resample(2*time.Second, 10*time.Second)
-	if len(pts) != 5 {
-		t.Fatalf("Resample returned %d buckets, want 5", len(pts))
-	}
-	if pts[0].Value != 0.5 {
-		t.Fatalf("bucket 0 = %v, want 0.5", pts[0].Value)
-	}
-	if pts[4].Value != 8.5 {
-		t.Fatalf("bucket 4 = %v, want 8.5", pts[4].Value)
-	}
-	if ts.Resample(0, time.Second) != nil {
-		t.Fatal("Resample with zero bucket should return nil")
-	}
-}
-
-func TestTimeSeriesResampleCarriesForward(t *testing.T) {
-	ts := NewTimeSeries("sparse")
-	ts.Append(0, 5)
-	ts.Append(9*time.Second, 10)
-	pts := ts.Resample(time.Second, 10*time.Second)
-	if pts[4].Value != 5 {
-		t.Fatalf("empty bucket should carry previous value, got %v", pts[4].Value)
-	}
-}
-
-func TestASCIIPlot(t *testing.T) {
-	ts := NewTimeSeries("plot")
-	ts.Append(0, 1)
-	ts.Append(time.Second, 2)
-	out := ts.ASCIIPlot(time.Second, 2*time.Second, 10)
-	if !strings.Contains(out, "plot") || !strings.Contains(out, "#") {
-		t.Fatalf("unexpected plot output: %q", out)
-	}
-	empty := NewTimeSeries("e")
-	if got := empty.ASCIIPlot(0, 0, 10); got != "(empty series)" {
-		t.Fatalf("empty plot = %q", got)
-	}
 }
 
 func TestWindowedStat(t *testing.T) {
 	w := NewWindowedStat(3)
-	if w.Count() != 0 || w.Mean() != 0 || w.Max() != 0 {
+	if w.Count() != 0 || w.Mean() != 0 || w.Quantile(1) != 0 {
 		t.Fatal("empty window should report zeros")
 	}
 	w.Observe(1)
@@ -108,9 +50,6 @@ func TestWindowedStat(t *testing.T) {
 	}
 	if w.Mean() != 5 {
 		t.Fatalf("Mean = %v, want 5", w.Mean())
-	}
-	if w.Max() != 10 {
-		t.Fatalf("Max = %v, want 10", w.Max())
 	}
 	if q := w.Quantile(1); q != 10 {
 		t.Fatalf("p100 = %v, want 10", q)
@@ -166,33 +105,34 @@ func TestWindowedStatQuantilesAllocFree(t *testing.T) {
 	}
 }
 
-func TestWindowedStatTrend(t *testing.T) {
-	w := NewWindowedStat(10)
-	for i := 0; i < 10; i++ {
-		w.Observe(float64(i) * 2)
-	}
-	if math.Abs(w.Trend()-2) > 1e-9 {
-		t.Fatalf("Trend = %v, want 2", w.Trend())
-	}
-	flat := NewWindowedStat(5)
-	for i := 0; i < 5; i++ {
-		flat.Observe(7)
-	}
-	if flat.Trend() != 0 {
-		t.Fatalf("Trend of constant = %v, want 0", flat.Trend())
-	}
-	short := NewWindowedStat(5)
-	short.Observe(1)
-	if short.Trend() != 0 {
-		t.Fatal("Trend with one sample should be 0")
-	}
-}
-
 func TestWindowedStatSizeClamp(t *testing.T) {
 	w := NewWindowedStat(0)
 	w.Observe(4)
 	w.Observe(6)
 	if w.Count() != 1 || w.Mean() != 6 {
 		t.Fatalf("size-0 window should clamp to 1, got count=%d mean=%v", w.Count(), w.Mean())
+	}
+}
+
+// TestIntervalRecorder pins the interval arithmetic the monitor and the tenant
+// runtimes share: ops and failures reset at Close, the latency windows do not.
+func TestIntervalRecorder(t *testing.T) {
+	r := NewIntervalRecorder(16)
+	for i := 0; i < 4; i++ {
+		r.Issue()
+	}
+	r.Complete(false, 10*time.Millisecond, nil)
+	r.Complete(true, 30*time.Millisecond, nil)
+	r.Complete(true, time.Second, errors.New("boom"))
+	r.Fail()
+	iv := r.Close(2 * time.Second)
+	want := Interval{Ops: 4, OpsPerSec: 2, ErrorRate: 0.5, ReadLatencyP99: 0.01, WriteLatencyP99: 0.03}
+	if iv != want {
+		t.Fatalf("Close = %+v, want %+v", iv, want)
+	}
+	iv = r.Close(0)
+	want = Interval{ReadLatencyP99: 0.01, WriteLatencyP99: 0.03}
+	if iv != want {
+		t.Fatalf("empty interval = %+v, want %+v", iv, want)
 	}
 }

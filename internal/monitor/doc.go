@@ -14,8 +14,12 @@
 //     the last replica acknowledgement estimates the window with no added
 //     load, at the cost of missing replicas that never acknowledge.
 //
-// The Monitor also acts as an instrumented pass-through in front of the
-// store, so client-observed latency and error rates are measured exactly the
-// way an application-side metrics library would measure them. Controllers
-// consume periodic Snapshots; they never see simulator ground truth.
+// The Monitor also keeps the aggregate client view (a
+// metrics.IntervalRecorder), so client-observed latency and error rates are
+// measured exactly the way an application-side metrics library would measure
+// them. Untagged traffic reaches it through the Monitor's own Read and Write,
+// which forward to the store; tenant runtimes forward their operations to
+// the store under the tenant's tag and record them into the same view
+// (Monitor.Client). Controllers consume periodic Snapshots; they never see
+// simulator ground truth.
 package monitor

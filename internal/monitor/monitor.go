@@ -23,12 +23,16 @@ type Config struct {
 	ProbePollInterval time.Duration
 	// ProbeTimeout abandons a probe that never observes its write.
 	ProbeTimeout time.Duration
-	// WindowSampleSize is the number of recent window estimates retained for
-	// quantile queries.
-	WindowSampleSize int
-	// LatencySampleSize is the number of recent client latencies retained.
-	LatencySampleSize int
 }
+
+const (
+	// windowSamples is the number of recent window estimates retained for
+	// quantile queries.
+	windowSamples = 512
+	// latencySamples is the number of recent client latencies retained per
+	// operation kind.
+	latencySamples = 4096
+)
 
 // DefaultConfig enables both techniques with one probe per second.
 func DefaultConfig() Config {
@@ -38,8 +42,6 @@ func DefaultConfig() Config {
 		ProbeRate:         1,
 		ProbePollInterval: 5 * time.Millisecond,
 		ProbeTimeout:      10 * time.Second,
-		WindowSampleSize:  512,
-		LatencySampleSize: 4096,
 	}
 }
 
@@ -50,12 +52,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = d.ProbeTimeout
-	}
-	if c.WindowSampleSize <= 0 {
-		c.WindowSampleSize = d.WindowSampleSize
-	}
-	if c.LatencySampleSize <= 0 {
-		c.LatencySampleSize = d.LatencySampleSize
 	}
 	return c
 }
@@ -107,8 +103,10 @@ type Snapshot struct {
 }
 
 // Monitor gathers estimates and exposes Snapshots. It implements
-// workload.Target so client traffic can be routed through it, and
+// workload.Target so untagged client traffic can be routed through it, and
 // store.Observer so passive estimation can piggyback on coordinator acks.
+// Tenant runtimes forward their traffic to the store themselves and record it
+// into the monitor's client view (see Client).
 type Monitor struct {
 	cfg     Config
 	engine  *sim.Engine
@@ -119,14 +117,11 @@ type Monitor struct {
 	prober      *Prober
 
 	windowEst *metrics.WindowedStat
-	readLat   *metrics.WindowedStat
-	writeLat  *metrics.WindowedStat
+	// client is the aggregate view of client operations.
+	client *metrics.IntervalRecorder
 
-	opsInterval    uint64
-	errorsInterval uint64
 	probeOpsTotal  uint64
 	probeOpsPrev   uint64
-	opsTotal       uint64
 	lastSnapshotAt time.Duration
 
 	// windowQuantiles is the reused result buffer for the batched window
@@ -155,9 +150,8 @@ func New(cfg Config, engine *sim.Engine, st *store.Store, cl *cluster.Cluster) (
 		store:       st,
 		cluster:     cl,
 		utilSampler: cluster.NewUtilizationSampler(cl),
-		windowEst:   metrics.NewWindowedStat(cfg.WindowSampleSize),
-		readLat:     metrics.NewWindowedStat(cfg.LatencySampleSize),
-		writeLat:    metrics.NewWindowedStat(cfg.LatencySampleSize),
+		windowEst:   metrics.NewWindowedStat(windowSamples),
+		client:      metrics.NewIntervalRecorder(latencySamples),
 	}
 	if cfg.UsePassive {
 		st.Subscribe(m)
@@ -183,66 +177,33 @@ func (m *Monitor) Stop() {
 	}
 }
 
+// Client returns the monitor's aggregate view of client operations. Tenant
+// runtimes record every operation they forward to the store into it, with
+// the store-observed latency, so the controller's aggregate view covers all
+// client traffic.
+func (m *Monitor) Client() *metrics.IntervalRecorder { return m.client }
+
 // Read implements workload.Target: it forwards to the store and records the
-// client-observed outcome. It is the untagged view — identical to
-// Tagged(0).Read, kept as a single implementation there.
+// client-observed outcome before handing it to cb (which may be nil).
 func (m *Monitor) Read(key store.Key, cb func(store.Result)) {
-	m.Tagged(0).Read(key, cb)
+	m.client.Issue()
+	m.store.Read(key, m.completion(false, cb))
 }
 
-// Write implements workload.Target: it forwards to the store and records the
-// client-observed outcome.
+// Write implements workload.Target, mirroring Read.
 func (m *Monitor) Write(key store.Key, cb func(store.Result)) {
-	m.Tagged(0).Write(key, cb)
+	m.client.Issue()
+	m.store.Write(key, m.completion(true, cb))
 }
 
-// TaggedTarget routes one tenant's operations through the monitor's
-// aggregate client-side accounting while tagging them with the tenant's
-// store ID, so the controller's aggregate view still covers all client
-// traffic and the store can attribute ground truth per tenant. It satisfies
-// workload.Target and tenant.Target.
-type TaggedTarget struct {
-	m  *Monitor
-	id store.TenantID
-}
-
-// Tagged returns the monitor's tagged view for one tenant.
-func (m *Monitor) Tagged(id store.TenantID) TaggedTarget {
-	return TaggedTarget{m: m, id: id}
-}
-
-// Read implements workload.Target.
-func (t TaggedTarget) Read(key store.Key, cb func(store.Result)) {
-	m := t.m
-	m.opsInterval++
-	m.opsTotal++
-	m.store.ReadAs(t.id, key, func(r store.Result) {
-		if r.Err != nil {
-			m.errorsInterval++
-		} else {
-			m.readLat.Observe(r.Latency.Seconds())
-		}
+// completion wraps cb with the recording of one untagged operation's outcome.
+func (m *Monitor) completion(write bool, cb func(store.Result)) func(store.Result) {
+	return func(r store.Result) {
+		m.client.Complete(write, r.Latency, r.Err)
 		if cb != nil {
 			cb(r)
 		}
-	})
-}
-
-// Write implements workload.Target.
-func (t TaggedTarget) Write(key store.Key, cb func(store.Result)) {
-	m := t.m
-	m.opsInterval++
-	m.opsTotal++
-	m.store.WriteAs(t.id, key, func(r store.Result) {
-		if r.Err != nil {
-			m.errorsInterval++
-		} else {
-			m.writeLat.Observe(r.Latency.Seconds())
-		}
-		if cb != nil {
-			cb(r)
-		}
-	})
+	}
 }
 
 // ObserveWrite implements store.Observer: the spread between the client
@@ -278,11 +239,8 @@ func (m *Monitor) Snapshot() Snapshot {
 	interval := now - m.lastSnapshotAt
 	meanU, maxU := m.utilSampler.Sample(now)
 
-	ops := m.opsInterval
-	errs := m.errorsInterval
+	client := m.client.Close(interval)
 	probeOps := m.probeOpsTotal - m.probeOpsPrev
-	m.opsInterval = 0
-	m.errorsInterval = 0
 	m.probeOpsPrev = m.probeOpsTotal
 	m.lastSnapshotAt = now
 
@@ -295,8 +253,10 @@ func (m *Monitor) Snapshot() Snapshot {
 		WindowP95:         wq[1],
 		WindowP99:         wq[2],
 		WindowSamples:     m.windowEst.Count(),
-		ReadLatencyP99:    m.readLat.Quantile(0.99),
-		WriteLatencyP99:   m.writeLat.Quantile(0.99),
+		ReadLatencyP99:    client.ReadLatencyP99,
+		WriteLatencyP99:   client.WriteLatencyP99,
+		ObservedOpsPerSec: client.OpsPerSec,
+		ErrorRate:         client.ErrorRate,
 		MeanUtilization:   meanU,
 		MaxUtilization:    maxU,
 		ClusterSize:       m.cluster.Size(),
@@ -308,14 +268,9 @@ func (m *Monitor) Snapshot() Snapshot {
 		snap.ProbeFailures = m.prober.Failed()
 	}
 	if interval > 0 {
-		secs := interval.Seconds()
-		snap.ObservedOpsPerSec = float64(ops) / secs
-		snap.ProbeOpsPerSec = float64(probeOps) / secs
+		snap.ProbeOpsPerSec = float64(probeOps) / interval.Seconds()
 	}
-	if ops > 0 {
-		snap.ErrorRate = float64(errs) / float64(ops)
-	}
-	if total := ops + probeOps; total > 0 {
+	if total := client.Ops + probeOps; total > 0 {
 		snap.ProbeOverheadFraction = float64(probeOps) / float64(total)
 	}
 	return snap

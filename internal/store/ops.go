@@ -26,7 +26,7 @@ type writeState struct {
 	key      Key
 	ver      version
 	issuedAt time.Duration
-	tenant   TenantID
+	rec      *record
 	cb       func(Result)
 	// tracker follows the write until every replica applied it; it is
 	// embedded by value and handed around as &w.tracker.
@@ -106,10 +106,7 @@ func writeClientAckEvent(arg any, at time.Duration) {
 	w.trace.Add(at, "client-ack", 0)
 	w.tracker.setAck(at)
 	latency := at - w.issuedAt
-	s.writeLatency.ObserveDuration(latency)
-	if t := s.tenant(w.tenant); t != nil {
-		t.writeLatency.ObserveDuration(latency)
-	}
+	w.rec.complete(OpWrite, latency, false)
 	if w.cb != nil {
 		w.cb(Result{
 			Kind:        OpWrite,
@@ -153,10 +150,7 @@ func (w *writeState) onReplicaLost() {
 	w.possible--
 	if !w.clientAcked && w.possible < w.required {
 		w.failed = true
-		w.store.writeFailures.Inc()
-		w.store.tenantWriteFailure(w.tenant)
-		w.store.finishTrace(w.trace, w.store.engine.Now(), ErrUnavailable)
-		w.store.failOp(OpWrite, w.key, w.issuedAt, ErrUnavailable, w.cb)
+		w.store.reject(w.rec, OpWrite, w.key, w.issuedAt, w.store.engine.Now(), ErrUnavailable, w.trace, w.cb)
 		return
 	}
 	if w.clientAcked && w.acked >= w.possible {
@@ -215,36 +209,25 @@ func (s *Store) WriteAs(tenant TenantID, key Key, cb func(Result)) {
 		return
 	}
 	tr := s.beginTrace(true, key, now)
+	rec := s.recordFor(tenant)
 	coord, ok := s.pickCoordinatorTenant(tenant)
 	if !ok {
-		s.writeFailures.Inc()
-		s.tenantWriteFailure(tenant)
-		s.finishTrace(tr, now, ErrNoNodes)
-		s.failOp(OpWrite, key, now, ErrNoNodes, cb)
+		s.reject(rec, OpWrite, key, now, now, ErrNoNodes, tr, cb)
 		return
 	}
 	replicaIDs := s.appendReplicasTenant(tenant, key)
 	if len(replicaIDs) == 0 {
-		s.writeFailures.Inc()
-		s.tenantWriteFailure(tenant)
-		s.finishTrace(tr, now, ErrNoNodes)
-		s.failOp(OpWrite, key, now, ErrNoNodes, cb)
+		s.reject(rec, OpWrite, key, now, now, ErrNoNodes, tr, cb)
 		return
 	}
 	required := s.writeCL.Required(len(replicaIDs))
 	live, down := s.partitionReplicas(coord.ID(), replicaIDs)
 	if len(live) < required {
-		s.writeFailures.Inc()
-		s.tenantWriteFailure(tenant)
-		s.finishTrace(tr, now, ErrUnavailable)
-		s.failOp(OpWrite, key, now, ErrUnavailable, cb)
+		s.reject(rec, OpWrite, key, now, now, ErrUnavailable, tr, cb)
 		return
 	}
 
-	s.writes.Inc()
-	if t := s.tenant(tenant); t != nil {
-		t.writes.Inc()
-	}
+	rec.issue(OpWrite)
 	if s.keyTenant != nil && tenant > 0 {
 		s.keyTenant[key] = tenant
 	}
@@ -257,7 +240,7 @@ func (s *Store) WriteAs(tenant TenantID, key Key, cb func(Result)) {
 		key:      key,
 		ver:      ver,
 		issuedAt: now,
-		tenant:   tenant,
+		rec:      rec,
 		cb:       cb,
 		coord:    coord,
 		required: required,
@@ -270,7 +253,7 @@ func (s *Store) WriteAs(tenant TenantID, key Key, cb func(Result)) {
 		store:     s,
 		key:       key,
 		ver:       ver,
-		tenant:    tenant,
+		rec:       rec,
 		remaining: len(replicaIDs),
 		trace:     tr,
 	}
@@ -295,11 +278,8 @@ func (s *Store) coordinateWrite(w *writeState, arrival time.Duration) {
 	coordDelay, accepted := w.coord.Enqueue(arrival, cluster.ForegroundOp)
 	if !accepted {
 		w.failed = true
-		s.writeFailures.Inc()
-		s.tenantWriteFailure(w.tenant)
 		w.trace.AddNote(arrival, "coordinate", int(w.coord.ID()), "reject")
-		s.finishTrace(w.trace, arrival, ErrUnavailable)
-		s.failOp(OpWrite, w.key, w.issuedAt, ErrUnavailable, w.cb)
+		s.reject(w.rec, OpWrite, w.key, w.issuedAt, arrival, ErrUnavailable, w.trace, w.cb)
 		return
 	}
 	coordDone := arrival + coordDelay
@@ -374,7 +354,7 @@ type readState struct {
 	store    *Store
 	key      Key
 	issuedAt time.Duration
-	tenant   TenantID
+	rec      *record
 	cb       func(Result)
 	coord    *cluster.Node
 	// targets is the preference-ordered set of replicas the read contacts.
@@ -436,7 +416,6 @@ func readClientDoneEvent(arg any, at time.Duration) {
 	latest := s.latestAcked[r.key]
 	stale := r.freshest < latest
 	if stale {
-		s.staleReads.Inc()
 		r.trace.AddNote(at, "client-done", 0, "stale")
 	} else {
 		r.trace.Add(at, "client-done", 0)
@@ -446,13 +425,7 @@ func readClientDoneEvent(arg any, at time.Duration) {
 		s.scheduleReadRepair(r.key, r.contacted)
 	}
 	latency := at - r.issuedAt
-	s.readLatency.ObserveDuration(latency)
-	if t := s.tenant(r.tenant); t != nil {
-		if stale {
-			t.staleReads.Inc()
-		}
-		t.readLatency.ObserveDuration(latency)
-	}
+	r.rec.complete(OpRead, latency, stale)
 	if r.cb != nil {
 		r.cb(Result{
 			Kind:        OpRead,
@@ -498,10 +471,7 @@ func (r *readState) onReplicaLost() {
 	r.possible--
 	if r.possible < r.required {
 		r.done = true
-		r.store.readFailures.Inc()
-		r.store.tenantReadFailure(r.tenant)
-		r.store.finishTrace(r.trace, r.store.engine.Now(), ErrUnavailable)
-		r.store.failOp(OpRead, r.key, r.issuedAt, ErrUnavailable, r.cb)
+		r.store.reject(r.rec, OpRead, r.key, r.issuedAt, r.store.engine.Now(), ErrUnavailable, r.trace, r.cb)
 	}
 }
 
@@ -524,41 +494,30 @@ func (s *Store) ReadAs(tenant TenantID, key Key, cb func(Result)) {
 		return
 	}
 	tr := s.beginTrace(false, key, now)
+	rec := s.recordFor(tenant)
 	coord, ok := s.pickCoordinatorTenant(tenant)
 	if !ok {
-		s.readFailures.Inc()
-		s.tenantReadFailure(tenant)
-		s.finishTrace(tr, now, ErrNoNodes)
-		s.failOp(OpRead, key, now, ErrNoNodes, cb)
+		s.reject(rec, OpRead, key, now, now, ErrNoNodes, tr, cb)
 		return
 	}
 	replicaIDs := s.appendReplicasTenant(tenant, key)
 	if len(replicaIDs) == 0 {
-		s.readFailures.Inc()
-		s.tenantReadFailure(tenant)
-		s.finishTrace(tr, now, ErrNoNodes)
-		s.failOp(OpRead, key, now, ErrNoNodes, cb)
+		s.reject(rec, OpRead, key, now, now, ErrNoNodes, tr, cb)
 		return
 	}
 	required := s.readCL.Required(len(replicaIDs))
 	live, _ := s.partitionReplicas(coord.ID(), replicaIDs)
 	if len(live) < required {
-		s.readFailures.Inc()
-		s.tenantReadFailure(tenant)
-		s.finishTrace(tr, now, ErrUnavailable)
-		s.failOp(OpRead, key, now, ErrUnavailable, cb)
+		s.reject(rec, OpRead, key, now, now, ErrUnavailable, tr, cb)
 		return
 	}
 
-	s.reads.Inc()
-	if t := s.tenant(tenant); t != nil {
-		t.reads.Inc()
-	}
+	rec.issue(OpRead)
 	state := &readState{
 		store:    s,
 		key:      key,
 		issuedAt: now,
-		tenant:   tenant,
+		rec:      rec,
 		cb:       cb,
 		coord:    coord,
 		required: required,
@@ -581,11 +540,8 @@ func (s *Store) coordinateRead(r *readState, arrival time.Duration) {
 	coordDelay, accepted := r.coord.Enqueue(arrival, cluster.ForegroundOp)
 	if !accepted {
 		r.done = true
-		s.readFailures.Inc()
-		s.tenantReadFailure(r.tenant)
 		r.trace.AddNote(arrival, "coordinate", int(r.coord.ID()), "reject")
-		s.finishTrace(r.trace, arrival, ErrUnavailable)
-		s.failOp(OpRead, r.key, r.issuedAt, ErrUnavailable, r.cb)
+		s.reject(r.rec, OpRead, r.key, r.issuedAt, arrival, ErrUnavailable, r.trace, r.cb)
 		return
 	}
 	coordDone := arrival + coordDelay
@@ -662,12 +618,23 @@ func (s *Store) finishTrace(tr *obs.OpTrace, at time.Duration, err error) {
 	s.tracer.Finish(tr, at, msg)
 }
 
-// failOp delivers a failure result after a minimal client round trip.
+// reject fails an operation the store saw: the failure is counted in rec
+// (and through it the aggregate), the trace closes at `at`, and cb gets the
+// error after a minimal client round trip.
+func (s *Store) reject(rec *record, kind OpKind, key Key, issued, at time.Duration, err error, tr *obs.OpTrace, cb func(Result)) {
+	rec.fail(kind)
+	s.finishTrace(tr, at, err)
+	s.failOp(kind, key, issued, err, cb)
+}
+
+// failOp delivers a failure result after a minimal client round trip. The
+// round trip is drawn whether or not there is a callback, so the store's
+// random stream does not depend on what the caller passed.
 func (s *Store) failOp(kind OpKind, key Key, issued time.Duration, err error, cb func(Result)) {
+	delay := s.cluster.Network().ClientToNode() * 2
 	if cb == nil {
 		return
 	}
-	delay := s.cluster.Network().ClientToNode() * 2
 	s.engine.After(delay, func(at time.Duration) {
 		cb(Result{
 			Kind:        kind,
@@ -1027,7 +994,7 @@ func (t *writeTracker) discount(at time.Duration) {
 func (t *writeTracker) setAck(at time.Duration) {
 	t.ackAt = at
 	if t.resolved {
-		t.record()
+		t.recordWindow()
 	}
 }
 
@@ -1040,14 +1007,14 @@ func (t *writeTracker) resolve() {
 	}
 	t.resolved = true
 	if t.ackAt != 0 {
-		t.record()
+		t.recordWindow()
 	}
 }
 
-// record writes the window into the store's ground-truth histograms exactly
-// once. Writes that were never acknowledged have no client-observable window
-// and are skipped.
-func (t *writeTracker) record() {
+// recordWindow writes the window into the store's ground truth exactly once.
+// Writes that were never acknowledged have no client-observable window and
+// are skipped.
+func (t *writeTracker) recordWindow() {
 	if t.recorded || t.ackAt == 0 {
 		return
 	}
@@ -1060,10 +1027,5 @@ func (t *writeTracker) record() {
 		t.trace.Add(t.lastApply, "sla-account", 0)
 		t.store.finishTrace(t.trace, t.lastApply, nil)
 	}
-	t.store.windowHist.ObserveDuration(window)
-	t.store.recentWindow.Observe(window.Seconds())
-	if ts := t.store.tenant(t.tenant); ts != nil {
-		ts.windowHist.ObserveDuration(window)
-		ts.recentWindow.Observe(window.Seconds())
-	}
+	t.rec.window(window)
 }

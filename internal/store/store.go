@@ -144,13 +144,26 @@ type Observer interface {
 	ObserveWrite(WriteObservation)
 }
 
+// GroundTruth is the part of the cumulative ground truth the store keeps for
+// every owner: the aggregate (in Stats) and each tagged tenant (in
+// TenantGroundTruth).
+type GroundTruth struct {
+	Reads         uint64
+	Writes        uint64
+	ReadFailures  uint64
+	WriteFailures uint64
+	StaleReads    uint64
+
+	ReadLatency  metrics.Snapshot
+	WriteLatency metrics.Snapshot
+	// Window summarises the true inconsistency window of acknowledged
+	// writes, in seconds.
+	Window metrics.Snapshot
+}
+
 // Stats is a snapshot of the store's cumulative ground-truth statistics.
 type Stats struct {
-	Reads          uint64
-	Writes         uint64
-	ReadFailures   uint64
-	WriteFailures  uint64
-	StaleReads     uint64
+	GroundTruth
 	ReadRepairs    uint64
 	HintsQueued    uint64
 	HintsDelivered uint64
@@ -159,12 +172,84 @@ type Stats struct {
 	DroppedMutations uint64
 	LostUpdates      uint64
 	AntiEntropyRan   uint64
+}
 
-	ReadLatency  metrics.Snapshot
-	WriteLatency metrics.Snapshot
-	// Window summarises the true inconsistency window of acknowledged
-	// writes, in seconds.
-	Window metrics.Snapshot
+// record is one owner's ground truth. The store keeps one for the aggregate
+// and one per registered tenant; a tenant's record chains to the aggregate's
+// through parent, so every recording method feeds both with one call. The
+// per-kind arrays are indexed by OpKind-OpRead.
+type record struct {
+	parent *record
+
+	ops        [2]metrics.Counter
+	failures   [2]metrics.Counter
+	staleReads metrics.Counter
+	// shedOps counts operations admission control rejected before they
+	// reached the store; only tenant records count them (see TenantShed).
+	shedOps metrics.Counter
+
+	latency      [2]*metrics.Histogram
+	windowHist   *metrics.Histogram
+	recentWindow *metrics.WindowedStat
+}
+
+// newRecord creates a record whose recent-window quantiles cover the last
+// recent writes.
+func newRecord(parent *record, recent int) *record {
+	return &record{
+		parent:       parent,
+		latency:      [2]*metrics.Histogram{metrics.NewHistogram(0), metrics.NewHistogram(0)},
+		windowHist:   metrics.NewHistogram(0),
+		recentWindow: metrics.NewWindowedStat(recent),
+	}
+}
+
+// issue counts an operation the store accepted.
+func (r *record) issue(kind OpKind) {
+	for ; r != nil; r = r.parent {
+		r.ops[kind-OpRead].Inc()
+	}
+}
+
+// fail counts a failed operation.
+func (r *record) fail(kind OpKind) {
+	for ; r != nil; r = r.parent {
+		r.failures[kind-OpRead].Inc()
+	}
+}
+
+// complete records a successful operation's latency and whether a read was
+// stale.
+func (r *record) complete(kind OpKind, latency time.Duration, stale bool) {
+	for ; r != nil; r = r.parent {
+		if stale {
+			r.staleReads.Inc()
+		}
+		r.latency[kind-OpRead].ObserveDuration(latency)
+	}
+}
+
+// window records an acknowledged write's true inconsistency window.
+func (r *record) window(w time.Duration) {
+	for ; r != nil; r = r.parent {
+		r.windowHist.ObserveDuration(w)
+		r.recentWindow.Observe(w.Seconds())
+	}
+}
+
+// snapshot summarises the record. It sorts the histograms' reservoirs in
+// place (see metrics.Histogram.Quantile).
+func (r *record) snapshot() GroundTruth {
+	return GroundTruth{
+		Reads:         r.ops[0].Value(),
+		Writes:        r.ops[1].Value(),
+		ReadFailures:  r.failures[0].Value(),
+		WriteFailures: r.failures[1].Value(),
+		StaleReads:    r.staleReads.Value(),
+		ReadLatency:   r.latency[0].Snapshot(),
+		WriteLatency:  r.latency[1].Snapshot(),
+		Window:        r.windowHist.Snapshot(),
+	}
 }
 
 // Store is the simulated eventually-consistent database.
@@ -187,9 +272,11 @@ type Store struct {
 
 	observers []Observer
 
-	// tenants holds per-tenant ground-truth metric sets (index id-1) when
-	// the scenario registered tenants; nil in untagged single-tenant mode.
-	tenants []*tenantStats
+	// all is the aggregate ground truth. tenants holds the registered
+	// tenants' records (index id-1), each chained to all; nil in untagged
+	// single-tenant mode.
+	all     *record
+	tenants []*record
 
 	// Placement (class-aware replica selection). placements holds one entry
 	// per pinned class, in pin order (empty = placement inactive and every
@@ -222,16 +309,7 @@ type Store struct {
 	downScratch    []cluster.NodeID
 	hintIDScratch  []cluster.NodeID
 
-	// ground-truth metrics
-	readLatency      *metrics.Histogram
-	writeLatency     *metrics.Histogram
-	windowHist       *metrics.Histogram
-	recentWindow     *metrics.WindowedStat
-	reads            metrics.Counter
-	writes           metrics.Counter
-	readFailures     metrics.Counter
-	writeFailures    metrics.Counter
-	staleReads       metrics.Counter
+	// store-wide ground-truth counters
 	readRepairs      metrics.Counter
 	hintsQueued      metrics.Counter
 	hintsDelivered   metrics.Counter
@@ -266,7 +344,7 @@ type writeTracker struct {
 	store     *Store
 	key       Key
 	ver       version
-	tenant    TenantID
+	rec       *record
 	ackAt     time.Duration
 	remaining int
 	lastApply time.Duration
@@ -296,10 +374,7 @@ func New(cfg Config, engine *sim.Engine, cl *cluster.Cluster, rnd *sim.RandSourc
 		replicas:     make(map[cluster.NodeID]*replicaState),
 		latestAcked:  make(map[Key]version),
 		pendingHints: make(map[cluster.NodeID][]pendingApply),
-		readLatency:  metrics.NewHistogram(0),
-		writeLatency: metrics.NewHistogram(0),
-		windowHist:   metrics.NewHistogram(0),
-		recentWindow: metrics.NewWindowedStat(2048),
+		all:          newRecord(nil, 2048),
 	}
 	for _, n := range cl.AvailableNodes() {
 		s.ring.Add(n.ID())
@@ -486,20 +561,13 @@ func (s *Store) NodeRecovered(id cluster.NodeID) {
 // Stats returns a snapshot of cumulative ground-truth statistics.
 func (s *Store) Stats() Stats {
 	return Stats{
-		Reads:            s.reads.Value(),
-		Writes:           s.writes.Value(),
-		ReadFailures:     s.readFailures.Value(),
-		WriteFailures:    s.writeFailures.Value(),
-		StaleReads:       s.staleReads.Value(),
+		GroundTruth:      s.all.snapshot(),
 		ReadRepairs:      s.readRepairs.Value(),
 		HintsQueued:      s.hintsQueued.Value(),
 		HintsDelivered:   s.hintsDelivered.Value(),
 		DroppedMutations: s.droppedMutations.Value(),
 		LostUpdates:      s.lostUpdates.Value(),
 		AntiEntropyRan:   s.aeRuns.Value(),
-		ReadLatency:      s.readLatency.Snapshot(),
-		WriteLatency:     s.writeLatency.Snapshot(),
-		Window:           s.windowHist.Snapshot(),
 	}
 }
 
@@ -507,25 +575,7 @@ func (s *Store) Stats() Stats {
 // inconsistency window over the most recent writes. Experiments use it as
 // ground truth; the controller does not.
 func (s *Store) RecentWindowQuantile(q float64) float64 {
-	return s.recentWindow.Quantile(q)
-}
-
-// ResetStats clears cumulative statistics (used between experiment phases).
-func (s *Store) ResetStats() {
-	s.readLatency.Reset()
-	s.writeLatency.Reset()
-	s.windowHist.Reset()
-	s.reads.Reset()
-	s.writes.Reset()
-	s.readFailures.Reset()
-	s.writeFailures.Reset()
-	s.staleReads.Reset()
-	s.readRepairs.Reset()
-	s.hintsQueued.Reset()
-	s.hintsDelivered.Reset()
-	s.droppedMutations.Reset()
-	s.lostUpdates.Reset()
-	s.aeRuns.Reset()
+	return s.all.recentWindow.Quantile(q)
 }
 
 // KeyCount returns the number of distinct keys acknowledged so far.

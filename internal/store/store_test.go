@@ -588,14 +588,20 @@ type observerFunc func(WriteObservation)
 
 func (f observerFunc) ObserveWrite(o WriteObservation) { f(o) }
 
-func TestResetStats(t *testing.T) {
-	h := defaultHarness(t)
-	h.writeSync("a")
-	h.readSync("a")
-	h.store.ResetStats()
-	s := h.store.Stats()
-	if s.Writes != 0 || s.Reads != 0 || s.WriteLatency.Count != 0 {
-		t.Fatalf("ResetStats left residue: %+v", s)
+// TestFailureLatencyIndependentOfCallback pins that the store's random
+// stream does not depend on whether a caller passed a callback: a failed
+// operation draws its client round trip either way, so the next failure on
+// two identically seeded stores takes the same time.
+func TestFailureLatencyIndependentOfCallback(t *testing.T) {
+	second := func(first func(Result)) time.Duration {
+		h := defaultHarness(t)
+		h.store.Close()
+		h.store.Write("a", first)
+		return h.writeSync("b").Latency
+	}
+	withNil, withCallback := second(nil), second(func(Result) {})
+	if withNil != withCallback {
+		t.Fatalf("second failure latency = %v after a nil callback, %v after a no-op one", withNil, withCallback)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // drain scheduled on the engine's event loop.
 func delayRuntime(t *testing.T, engine *sim.Engine, target Target, onShed func(write bool)) *Runtime {
 	t.Helper()
-	rt, err := NewRuntime(1, "bronze", Bronze, target)
+	rt, err := NewRuntime(1, "bronze", Bronze, target, newAggregate())
 	if err != nil {
 		t.Fatalf("NewRuntime: %v", err)
 	}
@@ -99,7 +99,7 @@ func TestDelayModeShedGroundTruth(t *testing.T) {
 	// Shed mode.
 	shedEngine := sim.NewEngine()
 	shedTarget := &fakeTarget{}
-	shedRT, err := NewRuntime(1, "bronze", Bronze, shedTarget)
+	shedRT, err := NewRuntime(1, "bronze", Bronze, shedTarget, newAggregate())
 	if err != nil {
 		t.Fatalf("NewRuntime: %v", err)
 	}
@@ -228,7 +228,7 @@ func TestDelayModeUnthrottleFlushes(t *testing.T) {
 // TestDelayModeRequiresAdmission pins the wiring order: delay mode without
 // admission plumbing is an error, as is a nil scheduler.
 func TestDelayModeRequiresAdmission(t *testing.T) {
-	rt, err := NewRuntime(1, "x", Gold, &fakeTarget{})
+	rt, err := NewRuntime(1, "x", Gold, &fakeTarget{}, newAggregate())
 	if err != nil {
 		t.Fatalf("NewRuntime: %v", err)
 	}

@@ -9,9 +9,10 @@
 //
 //   - Class / ClassSpec: the named SLA classes and their bounds and prices.
 //   - Runtime: the per-tenant client-side assembly — it sits between a
-//     workload generator and the (tagged) store target, records the tenant's
-//     client-observed latencies and errors over each sampling interval, and
-//     folds per-tenant SLA compliance into its own tracker.
+//     workload generator and the store's tagged API, records the tenant's
+//     client-observed latencies and errors over each sampling interval (and
+//     the monitor's aggregate view of the operations it forwards), and folds
+//     per-tenant SLA compliance into its own tracker.
 //   - Signal: the per-tenant slice of a monitoring snapshot the tenant-aware
 //     controller consumes. The analyzer acts on the worst penalty-weighted
 //     tenant signal rather than the aggregate, and scale-in is vetoed while

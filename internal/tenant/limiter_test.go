@@ -114,7 +114,7 @@ func TestLimiterWindows(t *testing.T) {
 // (plus the throttle state) on the Signal.
 func TestRuntimeShedsAndAccounts(t *testing.T) {
 	inner := &fakeTarget{latency: time.Millisecond}
-	rt, err := NewRuntime(1, "batch", Bronze, inner)
+	rt, err := NewRuntime(1, "batch", Bronze, inner, newAggregate())
 	if err != nil {
 		t.Fatalf("NewRuntime: %v", err)
 	}

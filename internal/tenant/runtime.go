@@ -10,13 +10,16 @@ import (
 	"autonosql/internal/store"
 )
 
-// Target is the subset of the store/monitor API a tenant drives; it matches
-// workload.Target structurally, so a Runtime can be handed straight to a
-// workload generator and can itself wrap a monitor's tagged view.
+// Target is the store's tagged API a runtime forwards admitted operations
+// to. *store.Store satisfies it.
 type Target interface {
-	Read(key store.Key, cb func(store.Result))
-	Write(key store.Key, cb func(store.Result))
+	ReadAs(id store.TenantID, key store.Key, cb func(store.Result))
+	WriteAs(id store.TenantID, key store.Key, cb func(store.Result))
 }
+
+// latencySamples is the number of recent client latencies a runtime retains
+// per operation kind for the tenant's p99s.
+const latencySamples = 2048
 
 // Signal is the per-tenant slice of a monitoring snapshot: one tenant's
 // observed state over the last sampling interval, expressed against that
@@ -100,10 +103,10 @@ func (s Signal) Urgency() float64 {
 }
 
 // Runtime is one tenant's client-side assembly inside a running scenario. It
-// sits between the tenant's workload generator and the (monitor-tagged)
-// store target: every operation flows through it, so it can keep the
-// tenant's windowed client-observed latencies and interval error counts, and
-// fold per-tenant SLA compliance into the tenant's own tracker.
+// implements workload.Target and sits between the tenant's workload driver
+// and the store: every operation flows through it, so it can keep the
+// tenant's client view, feed the monitor's aggregate view, and fold
+// per-tenant SLA compliance into the tenant's own tracker.
 type Runtime struct {
 	id    store.TenantID
 	name  string
@@ -112,12 +115,12 @@ type Runtime struct {
 	inner   Target
 	tracker *sla.Tracker
 
-	readLat  *metrics.WindowedStat
-	writeLat *metrics.WindowedStat
-
-	opsInterval  uint64
-	errsInterval uint64
-	lastSignal   Signal
+	// client is the tenant's own view: it counts every arrival (shed ones
+	// as failures) and charges delay-queue waits to latency. aggregate is
+	// the monitor's view: it counts an operation when it is forwarded and
+	// records the store-observed latency, and never sees a shed.
+	client    *metrics.IntervalRecorder
+	aggregate *metrics.IntervalRecorder
 
 	// Admission control (nil clock = never installed). The limiter sits in
 	// front of inner: a shed operation is rejected synchronously, counted as
@@ -168,10 +171,10 @@ type delayedOp struct {
 	trace *obs.OpTrace
 }
 
-// NewRuntime creates the runtime for one tenant. The inner target is where
-// operations are forwarded (typically the monitor's tagged view of the
-// store).
-func NewRuntime(id store.TenantID, name string, class Class, inner Target) (*Runtime, error) {
+// NewRuntime creates the runtime for one tenant. Admitted operations are
+// forwarded to inner under the tenant's tag and recorded into aggregate (the
+// monitor's client view).
+func NewRuntime(id store.TenantID, name string, class Class, inner Target, aggregate *metrics.IntervalRecorder) (*Runtime, error) {
 	if id <= 0 {
 		return nil, errors.New("tenant: id must be positive")
 	}
@@ -181,18 +184,18 @@ func NewRuntime(id store.TenantID, name string, class Class, inner Target) (*Run
 	if !class.Valid() {
 		return nil, errors.New("tenant: unknown class " + string(class))
 	}
-	if inner == nil {
-		return nil, errors.New("tenant: target is required")
+	if inner == nil || aggregate == nil {
+		return nil, errors.New("tenant: target and aggregate recorder are required")
 	}
 	spec := class.Spec()
 	return &Runtime{
-		id:       id,
-		name:     name,
-		class:    spec,
-		inner:    inner,
-		tracker:  sla.NewTracker(spec.SLA),
-		readLat:  metrics.NewWindowedStat(2048),
-		writeLat: metrics.NewWindowedStat(2048),
+		id:        id,
+		name:      name,
+		class:     spec,
+		inner:     inner,
+		tracker:   sla.NewTracker(spec.SLA),
+		client:    metrics.NewIntervalRecorder(latencySamples),
+		aggregate: aggregate,
 	}, nil
 }
 
@@ -325,7 +328,7 @@ func (r *Runtime) ThrottledTime(end time.Duration) time.Duration {
 // the ground-truth hook records the rejection, and the caller gets an
 // immediate ErrAdmissionShed result — the operation never reaches the store.
 func (r *Runtime) shed(write bool, key store.Key, cb func(store.Result), tr *obs.OpTrace) {
-	r.errsInterval++
+	r.client.Fail()
 	r.shedInterval++
 	r.shedTotal++
 	if tr != nil {
@@ -352,21 +355,19 @@ func (r *Runtime) shed(write bool, key store.Key, cb func(store.Result), tr *obs
 	}
 }
 
-// forward sends one admitted operation to the inner target with the tenant's
-// outcome accounting wrapped around the caller's callback. queued is the time
-// the operation spent in the delay-mode admission queue (zero for directly
-// admitted arrivals); it is added to the client-observed latency, because the
+// forward sends one admitted operation to the store under the tenant's tag,
+// with the outcome accounting wrapped around the caller's callback. queued is
+// the time the operation spent in the delay-mode admission queue (zero for
+// directly admitted arrivals). The single completion handler records into
+// both views: the aggregate one gets the store-observed latency, the
+// tenant's own (and cb) gets it with the queueing delay added, because the
 // client has been waiting since the original arrival.
 func (r *Runtime) forward(write bool, key store.Key, cb func(store.Result), queued time.Duration, tr *obs.OpTrace) {
+	r.aggregate.Issue()
 	handler := func(res store.Result) {
+		r.aggregate.Complete(write, res.Latency, res.Err)
 		res.Latency += queued
-		if res.Err != nil {
-			r.errsInterval++
-		} else if write {
-			r.writeLat.Observe(res.Latency.Seconds())
-		} else {
-			r.readLat.Observe(res.Latency.Seconds())
-		}
+		r.client.Complete(write, res.Latency, res.Err)
 		if cb != nil {
 			cb(res)
 		}
@@ -385,9 +386,9 @@ func (r *Runtime) forward(write bool, key store.Key, cb func(store.Result), queu
 		r.tracer.Stage(tr)
 	}
 	if write {
-		r.inner.Write(key, handler)
+		r.inner.WriteAs(r.id, key, handler)
 	} else {
-		r.inner.Read(key, handler)
+		r.inner.ReadAs(r.id, key, handler)
 	}
 }
 
@@ -457,12 +458,12 @@ func (r *Runtime) flushQueue() {
 	}
 }
 
-// Read implements Target: the operation is forwarded with the tenant's
-// outcome accounting wrapped around the caller's callback. Arrivals that
-// fail admission control are queued (delay mode) or shed before they reach
-// the store.
+// Read implements workload.Target: the operation is forwarded with the
+// tenant's outcome accounting wrapped around the caller's callback (which may
+// be nil). Arrivals that fail admission control are queued (delay mode) or
+// shed before they reach the store.
 func (r *Runtime) Read(key store.Key, cb func(store.Result)) {
-	r.opsInterval++
+	r.client.Issue()
 	tr := r.beginTrace(false, key)
 	if r.limiter.enabled && !r.limiter.Admit(r.clock()) {
 		if r.delayMode && r.enqueue(false, key, cb, tr) {
@@ -474,9 +475,9 @@ func (r *Runtime) Read(key store.Key, cb func(store.Result)) {
 	r.forward(false, key, cb, 0, tr)
 }
 
-// Write implements Target, mirroring Read.
+// Write implements workload.Target, mirroring Read.
 func (r *Runtime) Write(key store.Key, cb func(store.Result)) {
-	r.opsInterval++
+	r.client.Issue()
 	tr := r.beginTrace(true, key)
 	if r.limiter.enabled && !r.limiter.Admit(r.clock()) {
 		if r.delayMode && r.enqueue(true, key, cb, tr) {
@@ -494,34 +495,27 @@ func (r *Runtime) Write(key store.Key, cb func(store.Result)) {
 // per-tenant tracking); the latencies and error rate come from the runtime's
 // own client-side accounting. The interval accumulators reset on return.
 func (r *Runtime) Observe(at, interval time.Duration, windowP95 float64) Signal {
+	client := r.client.Close(interval)
 	sig := Signal{
 		Name:             r.name,
 		Class:            r.class.Class,
 		SLA:              r.class.SLA,
 		PenaltyPerMinute: r.class.PenaltyPerMinute,
 		WindowP95:        windowP95,
-		ReadLatencyP99:   r.readLat.Quantile(0.99),
-		WriteLatencyP99:  r.writeLat.Quantile(0.99),
-	}
-	if r.opsInterval > 0 {
-		sig.ErrorRate = float64(r.errsInterval) / float64(r.opsInterval)
+		ReadLatencyP99:   client.ReadLatencyP99,
+		WriteLatencyP99:  client.WriteLatencyP99,
+		ErrorRate:        client.ErrorRate,
+		OfferedOpsPerSec: client.OpsPerSec,
 	}
 	if interval > 0 {
-		sig.OfferedOpsPerSec = float64(r.opsInterval) / interval.Seconds()
 		sig.ShedOpsPerSec = float64(r.shedInterval) / interval.Seconds()
 	}
 	sig.ThrottleRate, sig.Throttled = r.Throttled()
 	sig.QueueDepth = len(r.queue)
-	r.opsInterval = 0
-	r.errsInterval = 0
 	r.shedInterval = 0
-	r.lastSignal = sig
 	r.tracker.Observe(sig.observation(at, interval))
 	return sig
 }
-
-// LastSignal returns the most recent signal produced by Observe.
-func (r *Runtime) LastSignal() Signal { return r.lastSignal }
 
 // Summary is the tenant's final compliance-and-cost accounting for a run.
 type Summary struct {

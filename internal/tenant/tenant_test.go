@@ -2,9 +2,13 @@ package tenant
 
 import (
 	"errors"
+	"strconv"
 	"testing"
 	"time"
 
+	"autonosql/internal/cluster"
+	"autonosql/internal/metrics"
+	"autonosql/internal/sim"
 	"autonosql/internal/store"
 )
 
@@ -59,19 +63,22 @@ type fakeTarget struct {
 	writes  int
 }
 
-func (f *fakeTarget) Read(key store.Key, cb func(store.Result)) {
+func (f *fakeTarget) ReadAs(_ store.TenantID, key store.Key, cb func(store.Result)) {
 	f.reads++
 	cb(store.Result{Kind: store.OpRead, Key: key, Err: f.fail, Latency: f.latency})
 }
 
-func (f *fakeTarget) Write(key store.Key, cb func(store.Result)) {
+func (f *fakeTarget) WriteAs(_ store.TenantID, key store.Key, cb func(store.Result)) {
 	f.writes++
 	cb(store.Result{Kind: store.OpWrite, Key: key, Err: f.fail, Latency: f.latency})
 }
 
+// newAggregate is a stand-in for the monitor's client view.
+func newAggregate() *metrics.IntervalRecorder { return metrics.NewIntervalRecorder(16) }
+
 func TestRuntimeObserveAndSummarize(t *testing.T) {
 	target := &fakeTarget{latency: 5 * time.Millisecond}
-	rt, err := NewRuntime(1, "gold", Gold, target)
+	rt, err := NewRuntime(1, "gold", Gold, target, newAggregate())
 	if err != nil {
 		t.Fatalf("NewRuntime: %v", err)
 	}
@@ -121,17 +128,20 @@ func TestRuntimeObserveAndSummarize(t *testing.T) {
 
 func TestRuntimeValidation(t *testing.T) {
 	target := &fakeTarget{}
-	if _, err := NewRuntime(0, "x", Gold, target); err == nil {
+	if _, err := NewRuntime(0, "x", Gold, target, newAggregate()); err == nil {
 		t.Error("zero id accepted")
 	}
-	if _, err := NewRuntime(1, "", Gold, target); err == nil {
+	if _, err := NewRuntime(1, "", Gold, target, newAggregate()); err == nil {
 		t.Error("empty name accepted")
 	}
-	if _, err := NewRuntime(1, "x", Class("platinum"), target); err == nil {
+	if _, err := NewRuntime(1, "x", Class("platinum"), target, newAggregate()); err == nil {
 		t.Error("unknown class accepted")
 	}
-	if _, err := NewRuntime(1, "x", Gold, nil); err == nil {
+	if _, err := NewRuntime(1, "x", Gold, nil, newAggregate()); err == nil {
 		t.Error("nil target accepted")
+	}
+	if _, err := NewRuntime(1, "x", Gold, target, nil); err == nil {
+		t.Error("nil aggregate recorder accepted")
 	}
 }
 
@@ -147,5 +157,117 @@ func TestSignalUrgencyWeighting(t *testing.T) {
 	if gold.Urgency() <= bronze.Urgency() {
 		t.Errorf("gold urgency %v not above bronze %v at equal relative violation",
 			gold.Urgency(), bronze.Urgency())
+	}
+}
+
+// TestRuntimeFeedsAggregateView pins what the monitor's aggregate view sees
+// of a tenant: an operation counts when it is forwarded (at release for a
+// delayed one) with its store latency, without the queueing delay the
+// tenant's own view charges, and a shed never reaches it.
+func TestRuntimeFeedsAggregateView(t *testing.T) {
+	engine := sim.NewEngine()
+	agg := newAggregate()
+	rt, err := NewRuntime(1, "bronze", Bronze, &fakeTarget{latency: 5 * time.Millisecond}, agg)
+	if err != nil {
+		t.Fatalf("NewRuntime: %v", err)
+	}
+	if err := rt.EnableAdmission(engine.Now, nil); err != nil {
+		t.Fatalf("EnableAdmission: %v", err)
+	}
+	if err := rt.EnableDelayMode(func(d time.Duration, fn func()) {
+		engine.After(d, func(time.Duration) { fn() })
+	}); err != nil {
+		t.Fatalf("EnableDelayMode: %v", err)
+	}
+	if err := rt.Throttle(1); err != nil {
+		t.Fatalf("Throttle: %v", err)
+	}
+	engine.After(0, func(time.Duration) {
+		for i := 0; i < 4; i++ {
+			rt.Read(store.Key("k"), nil)
+		}
+	})
+	if err := engine.Run(500 * time.Millisecond); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if iv := agg.Close(time.Second); iv.Ops != 1 {
+		t.Errorf("aggregate counted %d ops before the queue drained, want 1 (the admitted one)", iv.Ops)
+	}
+	if err := engine.Run(10 * time.Second); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	iv := agg.Close(time.Second)
+	if iv.Ops != 3 || iv.ErrorRate != 0 {
+		t.Errorf("aggregate after drain = %+v, want 3 released ops, no errors", iv)
+	}
+	if iv.ReadLatencyP99 != 0.005 {
+		t.Errorf("aggregate read p99 = %v, want the 5 ms store latency", iv.ReadLatencyP99)
+	}
+	sig := rt.Observe(10*time.Second, 10*time.Second, 0)
+	if sig.OfferedOpsPerSec != 0.4 || sig.ReadLatencyP99 < 2 {
+		t.Errorf("tenant view = %+v, want 4 arrivals over 10 s and the queueing delay in p99", sig)
+	}
+
+	shedAgg := newAggregate()
+	shed, err := NewRuntime(1, "bronze", Bronze, &fakeTarget{}, shedAgg)
+	if err != nil {
+		t.Fatalf("NewRuntime: %v", err)
+	}
+	if err := shed.EnableAdmission(engine.Now, nil); err != nil {
+		t.Fatalf("EnableAdmission: %v", err)
+	}
+	if err := shed.Throttle(1); err != nil {
+		t.Fatalf("Throttle: %v", err)
+	}
+	for i := 0; i < 4; i++ {
+		shed.Write(store.Key("k"), nil)
+	}
+	if iv := shedAgg.Close(time.Second); iv.Ops != 1 || iv.ErrorRate != 0 {
+		t.Errorf("aggregate in shed mode = %+v, want only the admitted op", iv)
+	}
+	if sig := shed.Observe(time.Second, time.Second, 0); sig.ErrorRate != 0.75 {
+		t.Errorf("tenant error rate = %v, want 0.75 (three of four shed)", sig.ErrorRate)
+	}
+}
+
+// TestRuntimeWriteAllocs guards the tenant path's per-operation cost: a
+// write through the runtime into a real store, issued without a callback as
+// the generators issue it, allocates at most one object more than a bare
+// tagged write (the runtime's completion closure).
+func TestRuntimeWriteAllocs(t *testing.T) {
+	engine := sim.NewEngine()
+	src := sim.NewRandSource(1)
+	st, err := store.New(store.DefaultConfig(), engine, cluster.New(cluster.DefaultConfig(), engine, src), src)
+	if err != nil {
+		t.Fatalf("store.New: %v", err)
+	}
+	st.RegisterTenants(1)
+	rt, err := NewRuntime(1, "gold", Gold, st, newAggregate())
+	if err != nil {
+		t.Fatalf("NewRuntime: %v", err)
+	}
+	keys := make([]store.Key, 256)
+	for i := range keys {
+		keys[i] = store.Key("key-" + strconv.Itoa(i))
+	}
+	i := 0
+	allocs := func(write func(store.Key)) float64 {
+		op := func() {
+			i++
+			write(keys[i%len(keys)])
+			// Every write completes well inside 100 ms on an idle cluster.
+			if err := engine.Run(engine.Now() + 100*time.Millisecond); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		}
+		for j := 0; j < 64; j++ {
+			op() // warm the engine's event pool and the store's scratch
+		}
+		return testing.AllocsPerRun(200, op)
+	}
+	bare := allocs(func(k store.Key) { st.WriteAs(1, k, nil) })
+	runtime := allocs(func(k store.Key) { rt.Write(k, nil) })
+	if runtime > bare+1 {
+		t.Errorf("runtime write allocates %.1f objects, bare WriteAs %.1f: want at most one more", runtime, bare)
 	}
 }

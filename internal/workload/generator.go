@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"autonosql/internal/metrics"
 	"autonosql/internal/sim"
 	"autonosql/internal/store"
 )
@@ -54,23 +53,11 @@ func PresetSpec(p Preset, keyspace int, rnd *sim.RandSource) (Mix, KeyChooser, e
 }
 
 // Target is the subset of the store API the generator drives. *store.Store
-// satisfies it.
+// satisfies it. A nil callback is allowed: the caller does not want the
+// result.
 type Target interface {
 	Read(key store.Key, cb func(store.Result))
 	Write(key store.Key, cb func(store.Result))
-}
-
-// Stats summarises the traffic a generator has produced and the outcomes it
-// observed from the client side.
-type Stats struct {
-	ReadsIssued   uint64
-	WritesIssued  uint64
-	ReadErrors    uint64
-	WriteErrors   uint64
-	StaleReads    uint64
-	ReadLatency   metrics.Snapshot
-	WriteLatency  metrics.Snapshot
-	LastIssueRate float64
 }
 
 // Config configures a Generator.
@@ -83,9 +70,6 @@ type Config struct {
 	Keys KeyChooser
 	// Until stops the generator at this virtual time (0 = run until Stop).
 	Until time.Duration
-	// MaxRate caps the instantaneous rate to protect the event queue from
-	// runaway profiles; zero means no cap.
-	MaxRate float64
 	// ArrivalStream names the random stream the inter-arrival draws come
 	// from; it defaults to "arrivals". Scenarios hosting several generators
 	// (one per tenant) must give each its own name, or every generator would
@@ -93,31 +77,24 @@ type Config struct {
 	ArrivalStream string
 }
 
-// Generator issues open-loop Poisson traffic against a Target.
+// Generator issues open-loop Poisson traffic against a Target. It is a pure
+// driver: operations are issued without a completion callback, and the
+// outcomes are recorded by the layers that read them (the monitor, the tenant
+// runtime and the store's ground truth).
 type Generator struct {
 	cfg    Config
 	engine *sim.Engine
 	target Target
 	rng    *sim.RandSource
 
-	stopped      bool
-	readsIssued  metrics.Counter
-	writesIssued metrics.Counter
-	readErrors   metrics.Counter
-	writeErrors  metrics.Counter
-	staleReads   metrics.Counter
-	readLat      *metrics.Histogram
-	writeLat     *metrics.Histogram
-	lastRate     float64
+	stopped  bool
+	lastRate float64
 
 	// arrivals is the dedicated inter-arrival random stream, bound at Start.
 	arrivals *rand.Rand
-	// tickFn, onReadFn and onWriteFn are the per-arrival handlers, bound once
-	// so the open-loop arrival chain does not allocate a closure per
-	// operation.
-	tickFn    sim.Handler
-	onReadFn  func(store.Result)
-	onWriteFn func(store.Result)
+	// tickFn is the per-arrival handler, bound once so the open-loop arrival
+	// chain does not allocate a closure per operation.
+	tickFn sim.Handler
 }
 
 // NewGenerator creates a generator. Start must be called to begin issuing
@@ -135,17 +112,8 @@ func NewGenerator(cfg Config, engine *sim.Engine, target Target, rnd *sim.RandSo
 	if cfg.Mix.ReadFraction < 0 || cfg.Mix.ReadFraction > 1 {
 		return nil, errors.New("workload: read fraction must be within [0, 1]")
 	}
-	g := &Generator{
-		cfg:      cfg,
-		engine:   engine,
-		target:   target,
-		rng:      rnd,
-		readLat:  metrics.NewHistogram(0),
-		writeLat: metrics.NewHistogram(0),
-	}
+	g := &Generator{cfg: cfg, engine: engine, target: target, rng: rnd}
 	g.tickFn = g.tick
-	g.onReadFn = g.onRead
-	g.onWriteFn = g.onWrite
 	return g, nil
 }
 
@@ -175,9 +143,6 @@ func (g *Generator) scheduleNext() {
 		return
 	}
 	rate := g.cfg.Profile.Rate(now)
-	if g.cfg.MaxRate > 0 && rate > g.cfg.MaxRate {
-		rate = g.cfg.MaxRate
-	}
 	g.lastRate = rate
 	var gap time.Duration
 	if rate <= 0 {
@@ -210,48 +175,11 @@ func (g *Generator) tick(time.Duration) {
 
 func (g *Generator) issueOne(rng *rand.Rand) {
 	if rng.Float64() < g.cfg.Mix.ReadFraction {
-		key := g.cfg.Keys.NextRead()
-		g.readsIssued.Inc()
-		g.target.Read(key, g.onReadFn)
+		g.target.Read(g.cfg.Keys.NextRead(), nil)
 		return
 	}
-	key := g.cfg.Keys.NextWrite()
-	g.writesIssued.Inc()
-	g.target.Write(key, g.onWriteFn)
-}
-
-func (g *Generator) onRead(r store.Result) {
-	if r.Err != nil {
-		g.readErrors.Inc()
-		return
-	}
-	if r.Stale {
-		g.staleReads.Inc()
-	}
-	g.readLat.ObserveDuration(r.Latency)
-}
-
-func (g *Generator) onWrite(r store.Result) {
-	if r.Err != nil {
-		g.writeErrors.Inc()
-		return
-	}
-	g.writeLat.ObserveDuration(r.Latency)
+	g.target.Write(g.cfg.Keys.NextWrite(), nil)
 }
 
 // Stop halts further arrivals. In-flight operations still complete.
 func (g *Generator) Stop() { g.stopped = true }
-
-// Stats returns the generator's client-side statistics.
-func (g *Generator) Stats() Stats {
-	return Stats{
-		ReadsIssued:   g.readsIssued.Value(),
-		WritesIssued:  g.writesIssued.Value(),
-		ReadErrors:    g.readErrors.Value(),
-		WriteErrors:   g.writeErrors.Value(),
-		StaleReads:    g.staleReads.Value(),
-		ReadLatency:   g.readLat.Snapshot(),
-		WriteLatency:  g.writeLat.Snapshot(),
-		LastIssueRate: g.lastRate,
-	}
-}

@@ -387,7 +387,6 @@ type TraceSource struct {
 	next    int
 	stopped bool
 	tickFn  sim.Handler
-	cbFn    func(store.Result)
 }
 
 // NewTraceSource creates a source replaying events (already filtered to one
@@ -404,7 +403,6 @@ func NewTraceSource(engine *sim.Engine, target Target, events []TraceEvent) (*Tr
 	}
 	s := &TraceSource{engine: engine, target: target, events: events}
 	s.tickFn = s.tick
-	s.cbFn = func(store.Result) {}
 	return s, nil
 }
 
@@ -448,9 +446,9 @@ func (s *TraceSource) tick(time.Duration) {
 	e := s.events[s.next]
 	s.next++
 	if e.Write {
-		s.target.Write(e.key(), s.cbFn)
+		s.target.Write(e.key(), nil)
 	} else {
-		s.target.Read(e.key(), s.cbFn)
+		s.target.Read(e.key(), nil)
 	}
 	s.scheduleNext()
 }

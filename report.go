@@ -8,6 +8,7 @@ import (
 
 	"autonosql/internal/core"
 	"autonosql/internal/fault"
+	"autonosql/internal/metrics"
 	"autonosql/internal/sla"
 	"autonosql/internal/tenant"
 )
@@ -27,6 +28,11 @@ type LatencySummary struct {
 	P95  float64
 	P99  float64
 	Max  float64
+}
+
+// latencySummary converts a ground-truth histogram snapshot (seconds).
+func latencySummary(s metrics.Snapshot) LatencySummary {
+	return LatencySummary{Mean: s.Mean, P50: s.P50, P95: s.P95, P99: s.P99, Max: s.Max}
 }
 
 // Violations is the SLA violation accounting of a run, in minutes.
@@ -373,26 +379,17 @@ func (s *Scenario) buildReport() *Report {
 	probeOps := s.monitor.ProbeOps()
 
 	r := &Report{
-		Spec:         s.spec,
-		Duration:     s.spec.Duration,
-		Reads:        stats.Reads,
-		Writes:       stats.Writes,
-		FailedReads:  stats.ReadFailures,
-		FailedWrites: stats.WriteFailures,
-		StaleReads:   stats.StaleReads,
-		Window: LatencySummary{
-			Mean: stats.Window.Mean, P50: stats.Window.P50, P95: stats.Window.P95,
-			P99: stats.Window.P99, Max: stats.Window.Max,
-		},
+		Spec:               s.spec,
+		Duration:           s.spec.Duration,
+		Reads:              stats.Reads,
+		Writes:             stats.Writes,
+		FailedReads:        stats.ReadFailures,
+		FailedWrites:       stats.WriteFailures,
+		StaleReads:         stats.StaleReads,
+		Window:             latencySummary(stats.Window),
 		EstimatedWindowP95: s.monitor.WindowQuantile(0.95),
-		ReadLatency: LatencySummary{
-			Mean: stats.ReadLatency.Mean, P50: stats.ReadLatency.P50, P95: stats.ReadLatency.P95,
-			P99: stats.ReadLatency.P99, Max: stats.ReadLatency.Max,
-		},
-		WriteLatency: LatencySummary{
-			Mean: stats.WriteLatency.Mean, P50: stats.WriteLatency.P50, P95: stats.WriteLatency.P95,
-			P99: stats.WriteLatency.P99, Max: stats.WriteLatency.Max,
-		},
+		ReadLatency:        latencySummary(stats.ReadLatency),
+		WriteLatency:       latencySummary(stats.WriteLatency),
 		MonitoringProbeOps: probeOps,
 		ComplianceRatio:    summary.ComplianceRatio,
 		MaxClusterSize:     s.maxNodes,
@@ -540,27 +537,18 @@ func buildTenantReport(s *Scenario, rt *tenant.Runtime) TenantReport {
 	sum := rt.Summarize()
 
 	tr := TenantReport{
-		Name:         rt.Name(),
-		Class:        string(class.Class),
-		Reads:        gt.Reads,
-		Writes:       gt.Writes,
-		FailedReads:  gt.ReadFailures,
-		FailedWrites: gt.WriteFailures,
-		StaleReads:   gt.StaleReads,
-		ShedOps:      gt.ShedOps,
-		Pinned:       s.store.ClassPinned(string(class.Class)),
-		Window: LatencySummary{
-			Mean: gt.Window.Mean, P50: gt.Window.P50, P95: gt.Window.P95,
-			P99: gt.Window.P99, Max: gt.Window.Max,
-		},
-		ReadLatency: LatencySummary{
-			Mean: gt.ReadLatency.Mean, P50: gt.ReadLatency.P50, P95: gt.ReadLatency.P95,
-			P99: gt.ReadLatency.P99, Max: gt.ReadLatency.Max,
-		},
-		WriteLatency: LatencySummary{
-			Mean: gt.WriteLatency.Mean, P50: gt.WriteLatency.P50, P95: gt.WriteLatency.P95,
-			P99: gt.WriteLatency.P99, Max: gt.WriteLatency.Max,
-		},
+		Name:            rt.Name(),
+		Class:           string(class.Class),
+		Reads:           gt.Reads,
+		Writes:          gt.Writes,
+		FailedReads:     gt.ReadFailures,
+		FailedWrites:    gt.WriteFailures,
+		StaleReads:      gt.StaleReads,
+		ShedOps:         gt.ShedOps,
+		Pinned:          s.store.ClassPinned(string(class.Class)),
+		Window:          latencySummary(gt.Window),
+		ReadLatency:     latencySummary(gt.ReadLatency),
+		WriteLatency:    latencySummary(gt.WriteLatency),
 		ComplianceRatio: sum.Compliance.ComplianceRatio,
 		Violations: Violations{
 			Window:       tracker.ViolationMinutes(sla.ClauseWindow),

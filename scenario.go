@@ -151,7 +151,8 @@ func NewScenario(spec ScenarioSpec) (*Scenario, error) {
 	// Client workload routed through the monitor so client-observed latency
 	// and error rates are measured the way an application would measure them.
 	// With declared tenants, each tenant gets its own generator, runtime and
-	// disjoint key-space slice instead of the single anonymous workload.
+	// disjoint key-space slice instead of the single anonymous workload, and
+	// the runtime records into the monitor's client view.
 	if len(spec.Tenants) == 0 {
 		if spec.Replay != nil {
 			src, err := workload.NewTraceSource(engine, mon, spec.Replay.eventsFor(""))
@@ -232,14 +233,14 @@ func NewScenario(spec ScenarioSpec) (*Scenario, error) {
 		SeriesUtilization, SeriesWriteConsistency, SeriesReplicationFactor, SeriesStaleReads,
 		SeriesReadLatencyP99, SeriesWriteLatencyP99,
 	} {
-		s.series[name] = metrics.NewTimeSeries(name)
+		s.series[name] = new(metrics.TimeSeries)
 	}
 	// Each tenant gets its own ground-truth metrics stream alongside the
 	// aggregate series.
 	for _, ts := range spec.Tenants {
 		for _, base := range []string{SeriesWindowP95, SeriesOfferedLoad, SeriesReadLatencyP99} {
 			name := tenantSeriesName(ts.Name, base)
-			s.series[name] = metrics.NewTimeSeries(name)
+			s.series[name] = new(metrics.TimeSeries)
 		}
 	}
 
@@ -310,9 +311,10 @@ func tenantKeyspace(t TenantSpec) int {
 // assembleTenants builds one runtime and one generator per declared tenant.
 // Tenant i (1-indexed as its store tag) drives the key range
 // [offset, offset+keyspace) where offset is the sum of the preceding
-// tenants' keyspaces, so tenants never collide on keys; its operations are
-// tagged through the monitor so the aggregate client view still covers all
-// traffic while the store attributes ground truth per tenant.
+// tenants' keyspaces, so tenants never collide on keys. The runtime sends
+// its operations to the store under the tenant's tag, so the store attributes
+// ground truth per tenant, and records them into the monitor's client view,
+// so the aggregate still covers all traffic.
 func (s *Scenario) assembleTenants() error {
 	specs := s.spec.Tenants
 	s.store.RegisterTenants(len(specs))
@@ -331,7 +333,7 @@ func (s *Scenario) assembleTenants() error {
 		if err != nil {
 			return fmt.Errorf("autonosql: tenant %q: %w", ts.Name, err)
 		}
-		rt, err := tenant.NewRuntime(id, ts.Name, class, s.monitor.Tagged(id))
+		rt, err := tenant.NewRuntime(id, ts.Name, class, s.store, s.monitor.Client())
 		if err != nil {
 			return fmt.Errorf("autonosql: tenant %q: %w", ts.Name, err)
 		}
